@@ -10,7 +10,7 @@ All functions are pure; none keep state between calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,10 @@ class EmptyWavError(DecodeError):
     """Readable container with zero audio samples."""
 
 
+class NonFiniteWavError(DecodeError):
+    """Float samples that hold NaN or infinity."""
+
+
 @dataclass
 class AudioBuffer:
     """Mono audio: float amplitudes in [-1, 1] plus their sample rate."""
@@ -64,7 +68,7 @@ def decode_wav(data: bytes) -> AudioBuffer:
 
     Accepts PCM 16-bit (format 1) and IEEE float 32-bit (format 3) with any
     channel count; channels are averaged. Integer samples are scaled by
-    1/32768.
+    1/32768; float samples must be finite.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError("not a RIFF/WAVE container")
@@ -105,6 +109,8 @@ def decode_wav(data: bytes) -> AudioBuffer:
         samples = raw.astype(np.float64) / 32768.0
     elif fmt["code"] == 3 and fmt["bits"] == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
+        if not np.all(np.isfinite(raw)):
+            raise NonFiniteWavError("data chunk holds NaN or infinite samples")
         samples = raw.astype(np.float64)
     else:
         raise UnsupportedWavError(
@@ -190,7 +196,6 @@ class MfccConfig:
     n_mfcc: int = 40
     fft_size: int = 512
     log_floor: float = 1e-10
-    mel_scale: str = "htk"
     spectrum: str = "power"
 
     def __post_init__(self):
@@ -200,8 +205,6 @@ class MfccConfig:
             raise ValueError("fft_size smaller than the analysis window")
         if self.log_floor <= 0:
             raise ValueError("log_floor must be positive")
-        if self.mel_scale != "htk":
-            raise ValueError(f"unknown mel scale {self.mel_scale!r}")
         if self.spectrum not in ("power", "magnitude"):
             raise ValueError(f"unknown spectrum type {self.spectrum!r}")
 
@@ -212,33 +215,6 @@ class MfccConfig:
     @property
     def hop_samples(self) -> int:
         return round(self.hop_length * self.sample_rate)
-
-    def to_text(self) -> str:
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "MfccConfig":
-        kwargs = {}
-        casts = {f.name: f.type for f in fields(cls)}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in casts:
-                raise ValueError(f"line {lineno}: unknown key {key!r}")
-            kind = casts[key]
-            if kind in ("int", int):
-                kwargs[key] = int(value)
-            elif kind in ("float", float):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
 
 
 def hz_to_mel(hz):

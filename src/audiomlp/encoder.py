@@ -7,6 +7,12 @@ gate half across time with a learned frames-by-frames matrix, multiplies
 the halves, projects back down, and adds the input back. A final layer
 norm is applied at whatever depth embeddings are read from.
 
+This module holds the package's only forward pass. The same functions
+run one example or a batch; the trainer passes per-example
+stochastic-depth factors and a cache that collects the intermediates of
+its hand-written backward pass. GELU, its derivative and layer norm are
+defined here once and shared with the trainer and the probes.
+
 Weights live in a flat dict of named float32 arrays. The names double as
 the on-disk tensor names, the optimizer state keys and the gradient keys,
 so there is exactly one naming scheme in the package.
@@ -134,35 +140,107 @@ def init_weights(config: EncoderConfig | None = None, seed: int = 0) -> EncoderW
     return EncoderWeights(config, tensors)
 
 
+def _one_plus_erf(u: np.ndarray) -> np.ndarray:
+    """2 * Phi(u), twice the Gaussian CDF."""
+    return 1.0 + erf(u / math.sqrt(2.0))
+
+
 def gelu(u: np.ndarray) -> np.ndarray:
     """Exact GELU, u * Phi(u) with the Gaussian CDF via erf."""
-    return 0.5 * u * (1.0 + erf(u / math.sqrt(2.0)))
+    return 0.5 * u * _one_plus_erf(u)
 
 
-def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Normalize over the last axis to zero mean, unit variance, then affine."""
+def gelu_grad(u: np.ndarray) -> np.ndarray:
+    """d/du of u * Phi(u), which is Phi(u) + u * phi(u)."""
+    pdf = np.exp(-0.5 * u * u) * (1.0 / math.sqrt(2.0 * math.pi))
+    return 0.5 * _one_plus_erf(u) + u * pdf
+
+
+def layer_norm(
+    x: np.ndarray, scale: np.ndarray, shift: np.ndarray, cache: dict | None = None, key: str = ""
+) -> np.ndarray:
+    """Normalize over the last axis to zero mean, unit variance, then affine.
+
+    With a cache dict, the normalized input and the inverse standard
+    deviation are stored under "xhat" + key and "istd" + key.
+    """
     mean = x.mean(axis=-1, keepdims=True)
     centered = x - mean
     var = np.mean(centered * centered, axis=-1, keepdims=True)
-    return centered / np.sqrt(var + LN_EPS) * scale + shift
+    istd = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = centered * istd
+    if cache is not None:
+        cache["xhat" + key], cache["istd" + key] = xhat, istd
+    return xhat * scale + shift
 
 
 def patch_embed(features: np.ndarray, tensors: dict[str, np.ndarray]) -> np.ndarray:
-    """(n_mfcc, frames) features to a (frames, dim) sequence."""
-    return features.T @ tensors["P0"] + tensors["P0.bias"]
+    """(..., n_mfcc, frames) features to a (..., frames, dim) sequence."""
+    return np.swapaxes(features, -1, -2) @ tensors["P0"] + tensors["P0.bias"]
 
 
-def block_forward(x: np.ndarray, tensors: dict[str, np.ndarray], index: int) -> np.ndarray:
-    """One gated-MLP block on a (frames, dim) sequence."""
+def block_forward(
+    x: np.ndarray,
+    tensors: dict[str, np.ndarray],
+    index: int,
+    *,
+    scale: np.ndarray | None = None,
+    cache: dict | None = None,
+) -> np.ndarray:
+    """One gated-MLP block on a (frames, dim) or (B, frames, dim) sequence.
+
+    scale, for a batch, is the per-example (B,) factor on the branch
+    (stochastic depth). With a cache dict, the intermediates the backward
+    pass needs are stored in it.
+    """
     p = f"block.{index}."
     half = tensors[p + "U"].shape[1] // 2
-    normed = layer_norm(x, tensors[p + "pre_norm.scale"], tensors[p + "pre_norm.shift"])
-    hidden = gelu(normed @ tensors[p + "U"] + tensors[p + "U.bias"])
-    value, gate = hidden[:, :half], hidden[:, half:]
-    gate = layer_norm(gate, tensors[p + "gate_norm.scale"], tensors[p + "gate_norm.shift"])
-    mixed = tensors[p + "G"] @ gate + tensors[p + "G.bias"][:, None]
-    branch = (value * mixed) @ tensors[p + "V"] + tensors[p + "V.bias"]
+    n1 = layer_norm(x, tensors[p + "pre_norm.scale"], tensors[p + "pre_norm.shift"], cache, "1")
+    upre = n1 @ tensors[p + "U"] + tensors[p + "U.bias"]
+    hidden = gelu(upre)
+    value, gate = hidden[..., :half], hidden[..., half:]
+    n2 = layer_norm(
+        gate, tensors[p + "gate_norm.scale"], tensors[p + "gate_norm.shift"], cache, "2"
+    )
+    mixed = tensors[p + "G"] @ n2 + tensors[p + "G.bias"][:, None]
+    gated = value * mixed
+    branch = gated @ tensors[p + "V"] + tensors[p + "V.bias"]
+    if scale is not None:
+        branch = branch * scale[:, None, None]
+    if cache is not None:
+        cache.update(
+            n1=n1, upre=upre, value=value, n2=n2, mixed=mixed, gated=gated, scale=scale
+        )
     return x + branch
+
+
+def encode(
+    features: np.ndarray,
+    tensors: dict[str, np.ndarray],
+    depth: int,
+    *,
+    scales: list[np.ndarray] | None = None,
+    cache: dict | None = None,
+) -> np.ndarray:
+    """(B, n_mfcc, frames) features to (B, frames, dim) final-normed timestamps.
+
+    Runs the patch embedding, the first depth blocks and the final norm.
+    scales[i] is block i's per-example branch factor. With a cache dict,
+    cache["blocks"][i] holds block i's intermediates and the final norm's
+    statistics go under "xhat_f" and "istd_f".
+    """
+    if cache is not None:
+        cache["blocks"] = [{} for _ in range(depth)]
+    x = patch_embed(features, tensors)
+    for i in range(depth):
+        x = block_forward(
+            x,
+            tensors,
+            i,
+            scale=None if scales is None else scales[i],
+            cache=None if cache is None else cache["blocks"][i],
+        )
+    return layer_norm(x, tensors["final_norm.scale"], tensors["final_norm.shift"], cache, "_f")
 
 
 def extract_timestamps(
@@ -183,17 +261,7 @@ def extract_timestamps(
         depth = config.depth
     if not 0 <= depth <= config.depth:
         raise ValueError(f"depth {depth} outside [0, {config.depth}]")
-    t = weights.tensors
-    x = patch_embed(features, t)
-    for i in range(depth):
-        x = block_forward(x, t, i)
-    return layer_norm(x, t["final_norm.scale"], t["final_norm.shift"])
-
-
-def classify(features: np.ndarray, weights: EncoderWeights) -> np.ndarray:
-    """Class logits: mean-pool the full-depth timestamps, then the head."""
-    pooled = extract_timestamps(features, weights).mean(axis=0)
-    return pooled @ weights.tensors["head.W"] + weights.tensors["head.bias"]
+    return encode(features[None], weights.tensors, depth)[0]
 
 
 def toeplitz_score(matrix: np.ndarray) -> float:

@@ -14,13 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trainer import (
-    _gelu,
-    _gelu_grad,
-    adamw_update,
-    init_adamw_state,
-    smoothed_cross_entropy,
-)
+from .encoder import gelu, gelu_grad
+from .trainer import adamw_update, init_adamw_state, smoothed_cross_entropy
 
 
 @dataclass
@@ -83,7 +78,7 @@ def probe_logits(embeddings: np.ndarray, probe: ProbeWeights) -> np.ndarray:
     t = probe.tensors
     if probe.hidden_units == 0:
         return embeddings @ t["W"] + t["b"]
-    hidden = _gelu(embeddings @ t["W1"] + t["b1"])
+    hidden = gelu(embeddings @ t["W1"] + t["b1"])
     return hidden @ t["W2"] + t["b2"]
 
 
@@ -94,11 +89,11 @@ def _probe_grads(embeddings, labels, probe):
         loss, dlogits = smoothed_cross_entropy(logits, labels, 0.0)
         return loss, {"W": embeddings.T @ dlogits, "b": dlogits.sum(axis=0)}
     pre = embeddings @ t["W1"] + t["b1"]
-    hidden = _gelu(pre)
+    hidden = gelu(pre)
     logits = hidden @ t["W2"] + t["b2"]
     loss, dlogits = smoothed_cross_entropy(logits, labels, 0.0)
     dhidden = dlogits @ t["W2"].T
-    dpre = dhidden * _gelu_grad(pre)
+    dpre = dhidden * gelu_grad(pre)
     grads = {
         "W2": hidden.T @ dlogits,
         "b2": dlogits.sum(axis=0),

@@ -1,12 +1,12 @@
 """Supervised training for the encoder, with hand-derived gradients.
 
-The forward pass here mirrors encoder.py exactly (same formulas, same
-order of operations) but runs on batches, keeps the intermediates needed
-for backprop, and optionally applies stochastic depth: during training
-each example drops a block's branch with probability 1 - survival, and
-kept branches are scaled by 1 / survival so inference needs no rescaling.
+The forward pass is encoder.encode, run on a batch with a cache of the
+intermediates backprop needs. During training stochastic depth drops each
+block's branch per example with probability 1 - survival, and kept
+branches are scaled by 1 / survival so inference needs no rescaling.
 
-The backward pass is written out analytically layer by layer; there is no
+This module holds the loss, the backward pass and the optimizer. The
+backward pass is written out analytically layer by layer; there is no
 autodiff anywhere in the package. Gradients live in a plain dict keyed by
 the same tensor names the weights use, which is also what the AdamW
 update and the optimizer state files consume.
@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
-from .encoder import LN_EPS, EncoderWeights
+from .encoder import EncoderWeights, encode, gelu_grad
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -104,26 +103,6 @@ def smoothed_cross_entropy(
     return loss, dlogits
 
 
-def _gelu(u: np.ndarray) -> np.ndarray:
-    return 0.5 * u * (1.0 + erf(u / math.sqrt(2.0)))
-
-
-def _gelu_grad(u: np.ndarray) -> np.ndarray:
-    # d/du of u * Phi(u) is Phi(u) + u * phi(u)
-    cdf = 0.5 * (1.0 + erf(u / math.sqrt(2.0)))
-    pdf = np.exp(-0.5 * u * u) * (1.0 / math.sqrt(2.0 * math.pi))
-    return cdf + u * pdf
-
-
-def _layer_norm_fwd(x, scale, shift):
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    istd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * istd
-    return xhat * scale + shift, xhat, istd
-
-
 def _layer_norm_bwd(dy, xhat, istd, scale):
     reduce_axes = tuple(range(dy.ndim - 1))
     dscale = (dy * xhat).sum(axis=reduce_axes)
@@ -149,8 +128,9 @@ def forward_batch(
 
     features is (B, n_mfcc, n_frames). Returns (logits, cache); the cache
     holds every intermediate loss_and_grads needs. With training=True and
-    survival < 1 each block draws one keep decision per example (this is
-    the only rng consumption); otherwise no randomness is used.
+    survival < 1 each block draws one keep decision per example, block 0
+    first (this is the only rng consumption); otherwise no randomness is
+    used.
     """
     cfg = weights.config
     t = weights.tensors
@@ -158,46 +138,19 @@ def forward_batch(
         raise ValueError(
             f"features shape {features.shape} != (B, {cfg.n_mfcc}, {cfg.n_frames})"
         )
-    use_stochastic_depth = training and survival < 1.0
-    if use_stochastic_depth and rng is None:
-        raise ValueError("stochastic depth needs an rng")
-
-    features_t = features.transpose(0, 2, 1)  # (B, T, F)
-    x = features_t @ t["P0"] + t["P0.bias"]
-    blocks = []
-    for i in range(cfg.depth):
-        p = f"block.{i}."
-        n1, xhat1, istd1 = _layer_norm_fwd(
-            x, t[p + "pre_norm.scale"], t[p + "pre_norm.shift"]
-        )
-        upre = n1 @ t[p + "U"] + t[p + "U.bias"]
-        hidden = _gelu(upre)
-        value, gate = hidden[..., : cfg.half_dim], hidden[..., cfg.half_dim :]
-        n2, xhat2, istd2 = _layer_norm_fwd(
-            gate, t[p + "gate_norm.scale"], t[p + "gate_norm.shift"]
-        )
-        mixed = np.matmul(t[p + "G"], n2) + t[p + "G.bias"][:, None]
-        gated = value * mixed
-        branch = gated @ t[p + "V"] + t[p + "V.bias"]
-        if use_stochastic_depth:
-            keep = rng.random(len(features)) < survival
-            scale = (keep / survival).astype(x.dtype)
-            x = x + branch * scale[:, None, None]
-        else:
-            scale = None
-            x = x + branch
-        blocks.append(
-            dict(
-                xhat1=xhat1, istd1=istd1, n1=n1, upre=upre, value=value,
-                xhat2=xhat2, istd2=istd2, n2=n2, mixed=mixed, gated=gated, scale=scale,
-            )
-        )
-    ts, xhat_f, istd_f = _layer_norm_fwd(x, t["final_norm.scale"], t["final_norm.shift"])
-    pooled = ts.mean(axis=1)
-    logits = pooled @ t["head.W"] + t["head.bias"]
-    cache = dict(
-        features_t=features_t, blocks=blocks, xhat_f=xhat_f, istd_f=istd_f, pooled=pooled
-    )
+    scales = None
+    if training and survival < 1.0:
+        if rng is None:
+            raise ValueError("stochastic depth needs an rng")
+        dtype = np.result_type(features, t["P0"], t["P0.bias"])
+        scales = [
+            ((rng.random(len(features)) < survival) / survival).astype(dtype)
+            for _ in range(cfg.depth)
+        ]
+    cache: dict = {}
+    ts = encode(features, t, cfg.depth, scales=scales, cache=cache)
+    cache["pooled"] = ts.mean(axis=1)
+    logits = cache["pooled"] @ t["head.W"] + t["head.bias"]
     return logits, cache
 
 
@@ -223,7 +176,7 @@ def loss_and_grads(
     grads["head.W"] = cache["pooled"].T @ dlogits
     grads["head.bias"] = dlogits.sum(axis=0)
     dpooled = dlogits @ t["head.W"].T
-    dts = np.broadcast_to(dpooled[:, None, :], cache["features_t"].shape[:2] + (cfg.dim,))
+    dts = np.broadcast_to(dpooled[:, None, :], (len(features), cfg.n_frames, cfg.dim))
     dts = dts / cfg.n_frames
     dx, grads["final_norm.scale"], grads["final_norm.shift"] = _layer_norm_bwd(
         dts, cache["xhat_f"], cache["istd_f"], t["final_norm.scale"]
@@ -245,7 +198,7 @@ def loss_and_grads(
             dn2, bc["xhat2"], bc["istd2"], t[p + "gate_norm.scale"]
         )
         dhidden = np.concatenate([dvalue, dgate], axis=-1)
-        dupre = dhidden * _gelu_grad(bc["upre"])
+        dupre = dhidden * gelu_grad(bc["upre"])
         grads[p + "U"] = np.einsum("btd,bth->dh", bc["n1"], dupre)
         grads[p + "U.bias"] = dupre.sum(axis=(0, 1))
         dn1 = dupre @ t[p + "U"].T
@@ -253,7 +206,7 @@ def loss_and_grads(
             dn1, bc["xhat1"], bc["istd1"], t[p + "pre_norm.scale"]
         )
         dx = dout + dxpre
-    grads["P0"] = np.einsum("btf,btd->fd", cache["features_t"], dx)
+    grads["P0"] = np.einsum("btf,btd->fd", np.swapaxes(features, 1, 2), dx)
     grads["P0.bias"] = dx.sum(axis=(0, 1))
     return loss, grads
 

@@ -115,6 +115,21 @@ class TestEmbed:
         )
         assert code == 3
 
+    def test_non_finite_audio_exits_3(self, tmp_path, default_weights_file, capsys):
+        clip = sine_clip(440.0)
+        clip[100] = np.nan
+        wav = tmp_path / "nan.wav"
+        wav.write_bytes(make_wav(clip, encoding="float32"))
+        code = main(
+            [
+                "embed", str(wav), "--weights", str(default_weights_file),
+                "--output", str(tmp_path / "o.emb1"),
+            ]
+        )
+        assert code == 3
+        assert "NaN" in capsys.readouterr().err
+        assert not (tmp_path / "o.emb1").exists()
+
     def test_missing_weights_exits_2(self, tmp_path):
         wav = tmp_path / "a.wav"
         wav.write_bytes(make_wav(sine_clip(440.0)))
@@ -264,6 +279,16 @@ class TestTrain:
             ["train", "--manifest", str(manifest), "--output", str(tmp_path / "m.kwm1")]
         )
         assert code == 3
+
+    def test_non_finite_wav_exits_3(self, tmp_path):
+        manifest = write_tiny_dataset(tmp_path)
+        clip = sine_clip(300.0)
+        clip[-1] = np.inf
+        (tmp_path / "sine1.wav").write_bytes(make_wav(clip, encoding="float32"))
+        out = tmp_path / "m.kwm1"
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)] + TRAIN_FLAGS)
+        assert code == 3
+        assert not out.exists()
 
     def test_bad_hyperparameters_exit_1(self, tmp_path):
         manifest = write_tiny_dataset(tmp_path)

@@ -12,6 +12,7 @@ from audiomlp.dsp import (
     EmptyWavError,
     MalformedWavError,
     MfccConfig,
+    NonFiniteWavError,
     UnsupportedWavError,
     dct_matrix,
     decode_wav,
@@ -86,6 +87,11 @@ class TestDecodeWav:
         with pytest.raises(EmptyWavError):
             decode_wav(make_wav(np.zeros(0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_rejected(self, bad):
+        with pytest.raises(NonFiniteWavError):
+            decode_wav(make_wav(np.array([0.5, bad, 0.25]), encoding="float32"))
+
     def test_zero_channels_rejected(self):
         wav = bytearray(make_wav([0.5]))
         fmt_at = bytes(wav).index(b"fmt ") + 8
@@ -94,7 +100,7 @@ class TestDecodeWav:
             decode_wav(bytes(wav))
 
     def test_error_classes_share_base(self):
-        for exc in (MalformedWavError, UnsupportedWavError, EmptyWavError):
+        for exc in (MalformedWavError, UnsupportedWavError, EmptyWavError, NonFiniteWavError):
             assert issubclass(exc, ValueError)
 
 
@@ -182,29 +188,12 @@ class TestMfccConfig:
         assert cfg.hop_samples == 160
         assert cfg.fft_size == 512
 
-    def test_text_round_trip(self):
-        cfg = MfccConfig(n_mels=30, n_mfcc=20, log_floor=1e-8)
-        assert MfccConfig.from_text(cfg.to_text()) == cfg
-
-    def test_from_text_ignores_blanks_and_comments(self):
-        cfg = MfccConfig.from_text("# comment\n\nn_mels=32\nn_mfcc=16\n")
-        assert cfg.n_mels == 32 and cfg.n_mfcc == 16
-
-    def test_from_text_rejects_unknown_key(self):
-        with pytest.raises(ValueError):
-            MfccConfig.from_text("bogus=1\n")
-
-    def test_from_text_rejects_bare_line(self):
-        with pytest.raises(ValueError):
-            MfccConfig.from_text("windowing\n")
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n_mfcc": 41},
             {"fft_size": 256},
             {"log_floor": 0.0},
-            {"mel_scale": "slaney"},
             {"spectrum": "complex"},
         ],
     )

@@ -9,7 +9,6 @@ from audiomlp.encoder import (
     EncoderConfig,
     EncoderWeights,
     block_forward,
-    classify,
     extract_timestamps,
     gelu,
     init_weights,
@@ -210,21 +209,6 @@ class TestExtract:
         w = init_weights(TOY, seed=11)
         feats = np.full((4, 6), 0.25, dtype=np.float32)
         assert extract_timestamps(feats, w).tobytes() == extract_timestamps(feats, w).tobytes()
-
-
-class TestClassify:
-    def test_logit_shape(self):
-        w = init_weights(TOY, seed=1)
-        logits = classify(np.ones((4, 6), dtype=np.float32), w)
-        assert logits.shape == (3,)
-
-    def test_matches_pooled_head(self):
-        rng = np.random.default_rng(12)
-        w = init_weights(TOY, seed=3).astype(np.float64)
-        feats = rng.standard_normal((4, 6))
-        pooled = extract_timestamps(feats, w).mean(axis=0)
-        expected = pooled @ w.tensors["head.W"] + w.tensors["head.bias"]
-        np.testing.assert_array_equal(classify(feats, w), expected)
 
 
 class TestToeplitzScore:

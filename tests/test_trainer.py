@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from audiomlp.encoder import EncoderConfig, block_forward, classify, init_weights, layer_norm
+from audiomlp.encoder import (
+    EncoderConfig,
+    block_forward,
+    extract_timestamps,
+    init_weights,
+    layer_norm,
+)
 from audiomlp.trainer import (
     AdamWState,
     StepRecord,
@@ -162,8 +168,10 @@ class TestForwardBatch:
         w = init_weights(TOY, seed=2).astype(np.float64)
         feats = rng.standard_normal((5, 4, 6))
         logits, _ = forward_batch(feats, w)
+        t = w.tensors
         for b in range(5):
-            np.testing.assert_allclose(logits[b], classify(feats[b], w), atol=1e-10)
+            expected = extract_timestamps(feats[b], w).mean(0) @ t["head.W"] + t["head.bias"]
+            np.testing.assert_allclose(logits[b], expected, atol=1e-10)
 
     def test_rejects_bad_shape(self):
         w = init_weights(TOY)

@@ -7,13 +7,12 @@ vector, a small supervised trainer with hand-derived gradients, and a
 shallow probe for evaluating embeddings on labeled data.
 """
 
-from .dsp import AudioBuffer, MfccConfig, decode_wav, mfcc, pad_and_segment, resample
+from .dsp import AudioBuffer, decode_wav, mfcc, pad_and_segment, resample
 from .encoder import EncoderConfig, EncoderWeights, extract_timestamps, init_weights
 from .scene import scene_embedding
 
 __all__ = [
     "AudioBuffer",
-    "MfccConfig",
     "decode_wav",
     "mfcc",
     "pad_and_segment",

@@ -5,20 +5,19 @@ a labeled manifest), probe (fit and score a shallow probe on saved
 embeddings), inspect (summarize a weights file), interp-demo (image
 downsampling comparison of the two interpolation strategies).
 
-Exit codes: 0 success, 1 usage errors (bad flags, bad KWMLP_THREADS,
-depth beyond the model), 2 unreadable or malformed weight files, 3
-unreadable or undecodable audio, 4 manifest problems, 5 probe data
-problems (embeddings/labels that do not line up, or fewer than two
-classes). Every command prints a single JSON line with its results.
+Exit codes: 0 success, 1 usage errors (bad flags, depth beyond the
+model, an unwritable --output), 2 unreadable, malformed or non-finite
+weight files, 3 unreadable or undecodable audio, 4 manifest problems, 5
+probe data problems (embeddings/labels that do not line up, or fewer
+than two classes). Every command prints a single JSON line with its
+results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +47,6 @@ EXIT_MANIFEST = 4
 EXIT_PROBE = 5
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; this CLI reserves 2 for weight
     file problems, so usage failures are remapped to exit code 1."""
@@ -67,44 +62,23 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _thread_count() -> int:
-    """Segment-level parallelism: KWMLP_THREADS, where 0 or unset = auto."""
-    raw = os.environ.get("KWMLP_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"KWMLP_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise UsageError("KWMLP_THREADS must be non-negative")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def encode_audio(
     wav_bytes: bytes,
     weights: EncoderWeights,
     algorithm: str = "iterative",
     depth: int | None = None,
-    max_workers: int = 1,
 ) -> np.ndarray:
     """Decode, resample to 16 kHz, segment, and embed each 1 s segment.
 
-    Returns (n_segments, scene_dim) float32. Segments are processed by a
-    thread pool; results keep manifest order, so the output is identical
-    whatever the worker count.
+    Returns (n_segments, scene_dim) float32, one row per segment in order.
     """
     audio = decode_wav(wav_bytes)
     if audio.sample_rate != TARGET_RATE:
         audio = resample(audio, TARGET_RATE)
-    segments = pad_and_segment(audio)
-
-    def embed_one(segment):
+    rows = []
+    for segment in pad_and_segment(audio):
         timestamps = extract_timestamps(mfcc(segment), weights, depth)
-        return scene_embedding(timestamps, algorithm)
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(embed_one, segments))
+        rows.append(scene_embedding(timestamps, algorithm))
     return np.stack(rows)
 
 
@@ -116,7 +90,6 @@ def _load_weights_cmd(path: str) -> EncoderWeights:
 
 
 def cmd_embed(args) -> int:
-    workers = _thread_count()
     try:
         weights = _load_weights_cmd(args.weights)
     except FormatError as exc:
@@ -128,13 +101,16 @@ def cmd_embed(args) -> int:
         )
     try:
         wav_bytes = Path(args.audio).read_bytes()
-        embeddings = encode_audio(wav_bytes, weights, args.algorithm, depth, workers)
+        embeddings = encode_audio(wav_bytes, weights, args.algorithm, depth)
     except (OSError, DecodeError) as exc:
         return _fail(EXIT_AUDIO, f"cannot embed {args.audio}: {exc}")
-    if args.format == "csv":
-        Path(args.output).write_text(format_embeddings_csv(embeddings))
-    else:
-        save_embeddings(args.output, embeddings)
+    try:
+        if args.format == "csv":
+            Path(args.output).write_text(format_embeddings_csv(embeddings))
+        else:
+            save_embeddings(args.output, embeddings)
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write {args.output}: {exc}")
     print(
         json.dumps(
             {
@@ -195,15 +171,22 @@ def cmd_train(args) -> int:
     weights = init_weights(encoder_config, seed=args.seed)
     output = Path(args.output)
     log_path = output.with_suffix(".csv")
-    with open(log_path, "w") as log:
+    try:
+        log = open(log_path, "w")
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write {log_path}: {exc}")
+    with log:
         log.write("step,epoch,lr,loss\n")
 
         def on_step(record):
             log.write(f"{record.step},{record.epoch},{record.lr:.9g},{record.loss:.9g}\n")
 
         result = train(features, labels, weights, train_config, on_step=on_step)
-    save_weights(output, weights)
-    save_optimizer_state(output.with_suffix(".opt1"), result.state)
+    try:
+        save_weights(output, weights)
+        save_optimizer_state(output.with_suffix(".opt1"), result.state)
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write {output}: {exc}")
     accuracy = evaluate(features, labels, weights)
     print(
         json.dumps(
@@ -373,10 +356,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 Everything downstream expects mono 16 kHz audio cut into exact 1 s
 segments. A segment is framed with a 30 ms window and 10 ms hop (no
-centering), run through a Hann window, a magnitude/power spectrum, a
-40-filter mel bank and an orthonormal DCT-II, producing a 40x98 matrix.
-All functions are pure; none keep state between calls.
+centering), run through a Hann window, a power spectrum, a 40-filter mel
+bank and an orthonormal DCT-II, producing a 40x98 matrix. These MFCC
+settings are fixed module constants; the window, filterbank and DCT
+tables are built once at import. All functions are pure; none keep state
+between calls.
 """
 
 from __future__ import annotations
@@ -16,6 +18,15 @@ import numpy as np
 
 TARGET_RATE = 16000
 SEGMENT_SAMPLES = TARGET_RATE  # one second at the model rate
+
+# MFCC geometry: 30 ms Hann window, 10 ms hop, power spectrum, 40 mel
+# filters, 40 DCT-II coefficients.
+WINDOW_SAMPLES = 480
+HOP_SAMPLES = 160
+FFT_SIZE = 512
+N_MELS = 40
+N_MFCC = 40
+LOG_FLOOR = 1e-10
 
 # Windowed-sinc resampler: zero crossings kept on each side of the kernel
 # and the Kaiser shape parameter. 8 crossings per side = 16 taps per output
@@ -185,38 +196,6 @@ def pad_and_segment(audio: AudioBuffer) -> list[AudioBuffer]:
     ]
 
 
-@dataclass
-class MfccConfig:
-    """Feature extraction settings; the defaults are the shipped pipeline."""
-
-    sample_rate: int = 16000
-    window_length: float = 0.030
-    hop_length: float = 0.010
-    n_mels: int = 40
-    n_mfcc: int = 40
-    fft_size: int = 512
-    log_floor: float = 1e-10
-    spectrum: str = "power"
-
-    def __post_init__(self):
-        if self.n_mfcc > self.n_mels:
-            raise ValueError("n_mfcc cannot exceed n_mels")
-        if self.fft_size < self.window_samples:
-            raise ValueError("fft_size smaller than the analysis window")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
-        if self.spectrum not in ("power", "magnitude"):
-            raise ValueError(f"unknown spectrum type {self.spectrum!r}")
-
-    @property
-    def window_samples(self) -> int:
-        return round(self.window_length * self.sample_rate)
-
-    @property
-    def hop_samples(self) -> int:
-        return round(self.hop_length * self.sample_rate)
-
-
 def hz_to_mel(hz):
     return 2595.0 * np.log10(1.0 + np.asarray(hz, dtype=np.float64) / 700.0)
 
@@ -225,16 +204,14 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(config: MfccConfig) -> np.ndarray:
+def mel_filterbank() -> np.ndarray:
     """Triangular mel filters, peak 1, spanning 0 Hz to Nyquist.
 
-    Returns an (n_mels, fft_size // 2 + 1) matrix of weights over rfft bins.
+    Returns an (N_MELS, FFT_SIZE // 2 + 1) matrix of weights over rfft bins.
     """
-    n_bins = config.fft_size // 2 + 1
-    bin_hz = np.arange(n_bins) * config.sample_rate / config.fft_size
-    edges = mel_to_hz(
-        np.linspace(hz_to_mel(0.0), hz_to_mel(config.sample_rate / 2), config.n_mels + 2)
-    )
+    n_bins = FFT_SIZE // 2 + 1
+    bin_hz = np.arange(n_bins) * TARGET_RATE / FFT_SIZE
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(TARGET_RATE / 2), N_MELS + 2))
     lower, center, upper = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rising = (bin_hz[None, :] - lower) / (center - lower)
     falling = (upper - bin_hz[None, :]) / (upper - center)
@@ -250,39 +227,28 @@ def dct_matrix(n_out: int, n_in: int) -> np.ndarray:
     return basis
 
 
-def frame_count(n_samples: int, config: MfccConfig) -> int:
-    """Number of analysis frames for n samples without centering."""
-    win, hop = config.window_samples, config.hop_samples
-    if n_samples < win:
-        raise ValueError("fewer samples than one analysis window")
-    return (n_samples - win) // hop + 1
+# Tables for mfcc, built once.
+_HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW_SAMPLES) / WINDOW_SAMPLES)
+_MEL_T = mel_filterbank().T
+_DCT_T = dct_matrix(N_MFCC, N_MELS).T
 
 
-def mfcc(segment: AudioBuffer, config: MfccConfig | None = None) -> np.ndarray:
-    """MFCCs of one 1 s segment as an (n_mfcc, frames) float32 matrix.
+def mfcc(segment: AudioBuffer) -> np.ndarray:
+    """MFCCs of one 1 s segment as an (N_MFCC, 98) float32 matrix.
 
-    Frame t covers samples [t * hop, t * hop + window); with the default
-    config a 16000-sample segment gives exactly 98 frames.
+    Frame t covers samples [t * HOP_SAMPLES, t * HOP_SAMPLES + WINDOW_SAMPLES),
+    so a 16000-sample segment gives exactly 98 frames.
     """
-    if config is None:
-        config = MfccConfig()
-    if segment.sample_rate != config.sample_rate:
+    if segment.sample_rate != TARGET_RATE:
+        raise ValueError(f"segment rate {segment.sample_rate} != {TARGET_RATE}")
+    if len(segment.samples) != SEGMENT_SAMPLES:
         raise ValueError(
-            f"segment rate {segment.sample_rate} != config rate {config.sample_rate}"
-        )
-    if len(segment.samples) != config.sample_rate:
-        raise ValueError(
-            f"expected a 1 s segment of {config.sample_rate} samples, "
+            f"expected a 1 s segment of {SEGMENT_SAMPLES} samples, "
             f"got {len(segment.samples)}"
         )
     x = np.asarray(segment.samples, dtype=np.float64)
-    win, hop = config.window_samples, config.hop_samples
-    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
-    spectrum = np.abs(np.fft.rfft(frames * window, n=config.fft_size))
-    if config.spectrum == "power":
-        spectrum = spectrum**2
-    mel_energy = spectrum @ mel_filterbank(config).T
-    log_mel = np.log(mel_energy + config.log_floor)
-    coeffs = log_mel @ dct_matrix(config.n_mfcc, config.n_mels).T
+    frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
+    power = np.abs(np.fft.rfft(frames * _HANN, n=FFT_SIZE)) ** 2
+    log_mel = np.log(power @ _MEL_T + LOG_FLOOR)
+    coeffs = log_mel @ _DCT_T
     return np.ascontiguousarray(coeffs.T, dtype=np.float32)

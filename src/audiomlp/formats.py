@@ -117,6 +117,8 @@ def load_weights(path) -> EncoderWeights:
     for name, tensor in tensors.items():
         if tensor.dtype != np.dtype("<f4"):
             raise FormatError(f"tensor {name!r} is not float32")
+        if not np.isfinite(tensor).all():
+            raise FormatError(f"tensor {name!r} holds NaN or infinite values")
     try:
         config = EncoderConfig(*(int(v) for v in meta))
         return EncoderWeights(config, tensors)

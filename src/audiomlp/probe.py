@@ -42,10 +42,6 @@ class ProbeWeights:
     tensors: dict[str, np.ndarray] = field(repr=False)
 
 
-def _probe_matrices(name: str) -> bool:
-    return name in ("W", "W1", "W2")
-
-
 def init_probe(n_features: int, n_classes: int, config: ProbeConfig) -> ProbeWeights:
     rng = np.random.default_rng(config.seed)
 
@@ -125,7 +121,7 @@ def train_probe(
     state = init_adamw_state(probe.tensors)
     for _ in range(config.epochs):
         _, grads = _probe_grads(embeddings, labels, probe)
-        adamw_update(probe.tensors, grads, state, config.lr, 0.0, _probe_matrices)
+        adamw_update(probe.tensors, grads, state, config.lr, 0.0)
     return probe
 
 

@@ -1,7 +1,7 @@
 """Reduce per-frame timestamp embeddings to one fixed-size scene vector.
 
 A clip's encoder output is (frames, dim); a scene embedding is the same
-information squeezed to (scene_frames, dim) and flattened time-major, so
+information squeezed to (SCENE_FRAMES, dim) and flattened time-major, so
 the default 98x64 timestamps become a 1024-dim vector (16 frames x 64).
 
 Three reduction algorithms are provided. "mean" averages contiguous frame
@@ -104,10 +104,8 @@ _REDUCERS = {
 }
 
 
-def scene_embedding(
-    timestamps: np.ndarray, algorithm: str = "iterative", scene_frames: int = SCENE_FRAMES
-) -> np.ndarray:
-    """Flatten a (frames, dim) matrix to a (scene_frames * dim,) vector.
+def scene_embedding(timestamps: np.ndarray, algorithm: str = "iterative") -> np.ndarray:
+    """Flatten a (frames, dim) matrix to a (SCENE_FRAMES * dim,) vector.
 
     Flattening is time-major: the first dim entries belong to scene frame
     0. With the default encoder (98x64) and 16 scene frames the result is
@@ -122,5 +120,5 @@ def scene_embedding(
         raise ValueError(
             f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}"
         ) from None
-    reduced = reducer(timestamps, scene_frames)
+    reduced = reducer(timestamps, SCENE_FRAMES)
     return np.ascontiguousarray(reduced).reshape(-1)

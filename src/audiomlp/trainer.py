@@ -120,17 +120,15 @@ def forward_batch(
     features: np.ndarray,
     weights: EncoderWeights,
     *,
-    training: bool = False,
     survival: float = 1.0,
     rng: np.random.Generator | None = None,
 ):
     """Batched classifier forward pass.
 
     features is (B, n_mfcc, n_frames). Returns (logits, cache); the cache
-    holds every intermediate loss_and_grads needs. With training=True and
-    survival < 1 each block draws one keep decision per example, block 0
-    first (this is the only rng consumption); otherwise no randomness is
-    used.
+    holds every intermediate loss_and_grads needs. With survival < 1 each
+    block draws one keep decision per example, block 0 first (this is the
+    only rng consumption); with survival 1 no randomness is used.
     """
     cfg = weights.config
     t = weights.tensors
@@ -139,7 +137,7 @@ def forward_batch(
             f"features shape {features.shape} != (B, {cfg.n_mfcc}, {cfg.n_frames})"
         )
     scales = None
-    if training and survival < 1.0:
+    if survival < 1.0:
         if rng is None:
             raise ValueError("stochastic depth needs an rng")
         dtype = np.result_type(features, t["P0"], t["P0.bias"])
@@ -162,14 +160,11 @@ def loss_and_grads(
     label_smoothing: float = 0.0,
     survival: float = 1.0,
     rng: np.random.Generator | None = None,
-    training: bool = True,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean batch loss and analytic gradients for every tensor."""
     cfg = weights.config
     t = weights.tensors
-    logits, cache = forward_batch(
-        features, weights, training=training, survival=survival, rng=rng
-    )
+    logits, cache = forward_batch(features, weights, survival=survival, rng=rng)
     loss, dlogits = smoothed_cross_entropy(logits, labels, label_smoothing)
 
     grads: dict[str, np.ndarray] = {}
@@ -238,7 +233,6 @@ def adamw_update(
     state: AdamWState,
     lr: float,
     weight_decay: float,
-    decay_filter=matrix_params,
 ) -> None:
     """One decoupled-weight-decay Adam step, in place on params and state."""
     state.step += 1
@@ -251,7 +245,7 @@ def adamw_update(
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * grad * grad
         p = params[name]
-        if weight_decay != 0.0 and decay_filter(name):
+        if weight_decay != 0.0 and matrix_params(name):
             p -= lr * weight_decay * p
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+# pyproject's pytest `pythonpath` puts src/ on this process's sys.path;
+# tests that start `python -m audiomlp...` in a child process need it too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def make_wav(

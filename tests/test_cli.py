@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from audiomlp.cli import encode_audio, main
+from audiomlp.cli import main
 from audiomlp.encoder import EncoderConfig, init_weights
 from audiomlp.formats import load_embeddings, load_weights, save_embeddings, save_weights
 from conftest import make_wav, noise_clip, sine_clip
@@ -151,6 +151,34 @@ class TestEmbed:
         )
         assert code == 2
 
+    def test_non_finite_weights_exit_2(self, tmp_path, default_weights_file, capsys):
+        weights = load_weights(default_weights_file)
+        weights.tensors["P0"][3, 5] = np.nan
+        bad = tmp_path / "nan.kwm1"
+        save_weights(bad, weights)
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(make_wav(sine_clip(440.0)))
+        out = tmp_path / "o.emb1"
+        code = main(["embed", str(wav), "--weights", str(bad), "--output", str(out)])
+        assert code == 2
+        assert "'P0'" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["inspect", "--weights", str(bad)]) == 2
+
+    @pytest.mark.parametrize("fmt", ["emb1", "csv"])
+    def test_unwritable_output_exits_1(self, tmp_path, default_weights_file, capsys, fmt):
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(make_wav(sine_clip(440.0)))
+        out = tmp_path / "no-such-dir" / f"o.{fmt}"
+        code = main(
+            [
+                "embed", str(wav), "--weights", str(default_weights_file),
+                "--output", str(out), "--format", fmt,
+            ]
+        )
+        assert code == 1
+        assert "cannot write" in capsys.readouterr().err
+
     def test_depth_beyond_model_exits_1(self, tmp_path, default_weights_file):
         wav = tmp_path / "a.wav"
         wav.write_bytes(make_wav(sine_clip(440.0)))
@@ -172,43 +200,6 @@ class TestEmbed:
             ]
         )
         assert code == 1
-
-
-class TestThreadsEnv:
-    def _run(self, tmp_path, default_weights_file):
-        wav = tmp_path / "a.wav"
-        wav.write_bytes(make_wav(sine_clip(440.0, seconds=3.0)))
-        return main(
-            [
-                "embed", str(wav), "--weights", str(default_weights_file),
-                "--output", str(tmp_path / "o.emb1"),
-            ]
-        )
-
-    def test_explicit_count_ok(self, tmp_path, default_weights_file, monkeypatch):
-        monkeypatch.setenv("KWMLP_THREADS", "2")
-        assert self._run(tmp_path, default_weights_file) == 0
-
-    def test_zero_means_auto(self, tmp_path, default_weights_file, monkeypatch):
-        monkeypatch.setenv("KWMLP_THREADS", "0")
-        assert self._run(tmp_path, default_weights_file) == 0
-
-    def test_garbage_exits_1(self, tmp_path, default_weights_file, monkeypatch):
-        monkeypatch.setenv("KWMLP_THREADS", "many")
-        assert self._run(tmp_path, default_weights_file) == 1
-
-    def test_negative_exits_1(self, tmp_path, default_weights_file, monkeypatch):
-        monkeypatch.setenv("KWMLP_THREADS", "-3")
-        assert self._run(tmp_path, default_weights_file) == 1
-
-    def test_thread_count_does_not_change_bytes(self, tmp_path, default_weights_file, monkeypatch):
-        wav = tmp_path / "w.wav"
-        wav.write_bytes(make_wav(noise_clip(np.random.default_rng(1), seconds=4.0)))
-        weights = load_weights(default_weights_file)
-        data = wav.read_bytes()
-        single = encode_audio(data, weights, max_workers=1)
-        multi = encode_audio(data, weights, max_workers=4)
-        assert single.tobytes() == multi.tobytes()
 
 
 def write_tiny_dataset(tmp_path, n_per_class=3):
@@ -289,6 +280,26 @@ class TestTrain:
         code = main(["train", "--manifest", str(manifest), "--output", str(out)] + TRAIN_FLAGS)
         assert code == 3
         assert not out.exists()
+
+    def test_unwritable_output_exits_1_before_training(self, tmp_path, capsys, monkeypatch):
+        manifest = write_tiny_dataset(tmp_path)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran although its outputs cannot be written")
+
+        monkeypatch.setattr("audiomlp.cli.train", no_training)
+        out = tmp_path / "no-such-dir" / "m.kwm1"
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)] + TRAIN_FLAGS)
+        assert code == 1
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_output_that_is_a_directory_exits_1(self, tmp_path, capsys):
+        manifest = write_tiny_dataset(tmp_path)
+        out = tmp_path / "m.kwm1"
+        out.mkdir()
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)] + TRAIN_FLAGS)
+        assert code == 1
+        assert "cannot write" in capsys.readouterr().err
 
     def test_bad_hyperparameters_exit_1(self, tmp_path):
         manifest = write_tiny_dataset(tmp_path)

@@ -139,6 +139,15 @@ class TestWeightsFile:
         with pytest.raises(FormatError, match="float32"):
             load_weights(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_tensor_rejected(self, tmp_path, value):
+        w = init_weights(TOY, seed=0)
+        w.tensors["block.1.U"][2, 3] = value
+        path = tmp_path / "w.kwm1"
+        save_weights(path, w)
+        with pytest.raises(FormatError, match="block.1.U"):
+            load_weights(path)
+
 
 class TestOptimizerFile:
     def _state(self):

@@ -182,13 +182,13 @@ class TestForwardBatch:
         w = init_weights(TOY)
         feats = np.ones((2, 4, 6), dtype=np.float32)
         with pytest.raises(ValueError):
-            forward_batch(feats, w, training=True, survival=0.9)
+            forward_batch(feats, w, survival=0.9)
 
     def test_survival_one_draws_nothing(self):
         w = init_weights(TOY, seed=3)
         feats = np.random.default_rng(17).standard_normal((3, 4, 6)).astype(np.float32)
         rng = np.random.default_rng(0)
-        logits, _ = forward_batch(feats, w, training=True, survival=1.0, rng=rng)
+        logits, _ = forward_batch(feats, w, survival=1.0, rng=rng)
         # generator untouched: next draw equals a fresh generator's first draw
         assert rng.random() == np.random.default_rng(0).random()
         plain, _ = forward_batch(feats, w)
@@ -200,9 +200,7 @@ class TestForwardBatch:
         t = w.tensors
         feats = np.random.default_rng(18).standard_normal((6, 3, 4))
         survival = 0.7
-        logits, _ = forward_batch(
-            feats, w, training=True, survival=survival, rng=np.random.default_rng(99)
-        )
+        logits, _ = forward_batch(feats, w, survival=survival, rng=np.random.default_rng(99))
         keep = np.random.default_rng(99).random(6) < survival
         assert 0 < keep.sum() < 6  # the seed exercises both branches
         x = feats.transpose(0, 2, 1) @ t["P0"] + t["P0.bias"]

@@ -8,6 +8,9 @@ import pytest
 import scipy.fft
 
 from audiomlp.dsp import (
+    FFT_SIZE,
+    HOP_SAMPLES,
+    WINDOW_SAMPLES,
     AudioBuffer,
     EmptyWavError,
     MalformedWavError,
@@ -224,6 +227,13 @@ class TestMelAndDct:
     def test_truncated_dct_rows(self):
         c = dct_matrix(13, 40)
         np.testing.assert_allclose(c, dct_matrix(40, 40)[:13], atol=0)
+
+
+class TestMfccConfig:
+    def test_default_geometry(self):
+        assert WINDOW_SAMPLES == 480
+        assert HOP_SAMPLES == 160
+        assert FFT_SIZE == 512
 
 
 def naive_log_mel_spectrogram(x: np.ndarray) -> np.ndarray:

@@ -6,23 +6,33 @@ embeddings), inspect (summarize a weights file), interp-demo (image
 downsampling comparison of the two interpolation strategies).
 
 Exit codes: 0 success, 1 usage errors (bad flags, depth beyond the
-model, an unwritable --output), 2 unreadable, malformed or non-finite
-weight files, 3 unreadable or undecodable audio, 4 manifest problems, 5
-probe data problems (embeddings/labels that do not line up, or fewer
-than two classes). Every command prints a single JSON line with its
-results.
+model, an unwritable --output) and training runs whose loss diverges, 2
+unreadable, malformed or non-finite weight files, 3 unreadable or
+undecodable audio, 4 manifest problems, 5 probe data problems
+(embeddings/labels that do not line up, or fewer than two classes).
+Every command prints a single JSON line with its results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .dsp import TARGET_RATE, DecodeError, decode_wav, mfcc, pad_and_segment, resample
+from .dsp import (
+    TARGET_RATE,
+    AudioBuffer,
+    DecodeError,
+    EmptyWavError,
+    decode_wav,
+    mfcc,
+    pad_and_segment,
+    resample,
+)
 from .encoder import EncoderConfig, EncoderWeights, extract_timestamps, init_weights, toeplitz_score
 from .formats import (
     FormatError,
@@ -38,7 +48,7 @@ from .formats import (
 )
 from .probe import ProbeConfig, evaluate_probe, train_probe
 from .scene import ALGORITHMS, linear_interp_time, reduce_iterative, scene_embedding
-from .trainer import TrainConfig, evaluate, train
+from .trainer import TrainConfig, TrainingDivergedError, evaluate, train
 
 EXIT_USAGE = 1
 EXIT_WEIGHTS = 2
@@ -62,6 +72,16 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _decode_at_model_rate(wav_bytes: bytes) -> AudioBuffer:
+    """Decode and resample to 16 kHz; EmptyWavError if no sample is left."""
+    audio = decode_wav(wav_bytes)
+    if audio.sample_rate != TARGET_RATE:
+        audio = resample(audio, TARGET_RATE)
+        if len(audio.samples) == 0:
+            raise EmptyWavError(f"audio too short for one sample at {TARGET_RATE} Hz")
+    return audio
+
+
 def encode_audio(
     wav_bytes: bytes,
     weights: EncoderWeights,
@@ -72,14 +92,23 @@ def encode_audio(
 
     Returns (n_segments, scene_dim) float32, one row per segment in order.
     """
-    audio = decode_wav(wav_bytes)
-    if audio.sample_rate != TARGET_RATE:
-        audio = resample(audio, TARGET_RATE)
+    audio = _decode_at_model_rate(wav_bytes)
     rows = []
     for segment in pad_and_segment(audio):
         timestamps = extract_timestamps(mfcc(segment), weights, depth)
         rows.append(scene_embedding(timestamps, algorithm))
     return np.stack(rows)
+
+
+def _why_unwritable(path: Path) -> str | None:
+    """Why a file cannot be written at `path`, or None if nothing is in the way."""
+    if path.is_dir():
+        return "it is a directory"
+    if not path.parent.is_dir():
+        return f"no directory {path.parent}"
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        return "permission denied"
+    return None
 
 
 def _load_weights_cmd(path: str) -> EncoderWeights:
@@ -134,11 +163,9 @@ def cmd_train(args) -> int:
     features, labels = [], []
     for wav_path, label in entries:
         try:
-            audio = decode_wav(wav_path.read_bytes())
+            audio = _decode_at_model_rate(wav_path.read_bytes())
         except (OSError, DecodeError) as exc:
             return _fail(EXIT_AUDIO, f"cannot read {wav_path}: {exc}")
-        if audio.sample_rate != TARGET_RATE:
-            audio = resample(audio, TARGET_RATE)
         # training examples are single 1 s segments; whole files are
         # represented by their first second
         features.append(mfcc(pad_and_segment(audio)[0]))
@@ -170,6 +197,11 @@ def cmd_train(args) -> int:
 
     weights = init_weights(encoder_config, seed=args.seed)
     output = Path(args.output)
+    # find an unwritable weights path now, not after the whole run
+    for path in (output, output.with_suffix(".opt1")):
+        problem = _why_unwritable(path)
+        if problem is not None:
+            return _fail(EXIT_USAGE, f"cannot write {path}: {problem}")
     log_path = output.with_suffix(".csv")
     try:
         log = open(log_path, "w")
@@ -181,7 +213,10 @@ def cmd_train(args) -> int:
         def on_step(record):
             log.write(f"{record.step},{record.epoch},{record.lr:.9g},{record.loss:.9g}\n")
 
-        result = train(features, labels, weights, train_config, on_step=on_step)
+        try:
+            result = train(features, labels, weights, train_config, on_step=on_step)
+        except TrainingDivergedError as exc:
+            return _fail(EXIT_USAGE, str(exc))
     try:
         save_weights(output, weights)
         save_optimizer_state(output.with_suffix(".opt1"), result.state)

@@ -1,12 +1,15 @@
 """Audio front end: WAV decoding, resampling, segmentation, MFCC features.
 
 Everything downstream expects mono 16 kHz audio cut into exact 1 s
-segments. A segment is framed with a 30 ms window and 10 ms hop (no
-centering), run through a Hann window, a power spectrum, a 40-filter mel
-bank and an orthonormal DCT-II, producing a 40x98 matrix. These MFCC
-settings are fixed module constants; the window, filterbank and DCT
-tables are built once at import. All functions are pure; none keep state
-between calls.
+segments. Other rates are resampled with a polyphase Kaiser-windowed sinc
+filter: for a rate ratio reduced to up/down there are only `up` distinct
+kernel phases, so each call tabulates them once and every output sample
+is a dot product of one table row with the input around it. A segment is
+framed with a 30 ms window and 10 ms hop (no centering), run through a
+Hann window, a power spectrum, a 40-filter mel bank and an orthonormal
+DCT-II, producing a 40x98 matrix. These MFCC settings are fixed module
+constants; the window, filterbank and DCT tables are built once at
+import. All functions are pure; none keep state between calls.
 """
 
 from __future__ import annotations
@@ -145,12 +148,17 @@ def _sinc_kernel(offsets: np.ndarray, cutoff: float, radius: float) -> np.ndarra
 
 
 def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
-    """Resample with a Kaiser-windowed sinc kernel.
+    """Resample with a Kaiser-windowed sinc kernel, one polyphase table per call.
 
-    Output length is round(len * target / source). Each output sample is a
-    normalized dot product of the kernel with the nearby input samples, so
-    constant (DC) signals pass through unchanged. Identical rates return a
-    plain copy.
+    Output length is round(len * target / source). With the ratio reduced
+    to up/down = target/source, output j sits at input position
+    j * down / up: whole part j * down // up, fractional phase
+    (j * down % up) / up. There are only `up` distinct phases, so the
+    kernel is tabulated once per phase (at most one row per output) and
+    each output is a dot product of its phase's row with the input window
+    around its whole position, divided by the sum of the row's weights that
+    fall inside the input. Constant (DC) signals therefore pass through
+    unchanged, also at the edges. Identical rates return a plain copy.
     """
     _require_samples(audio)
     if target_rate <= 0:
@@ -161,23 +169,50 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     x = np.asarray(audio.samples, dtype=np.float64)
     n = x.size
     out_len = (n * target_rate + audio.sample_rate // 2) // audio.sample_rate
+    g = math.gcd(audio.sample_rate, target_rate)
+    up, down = target_rate // g, audio.sample_rate // g
     step = audio.sample_rate / target_rate
     cutoff = min(1.0, 1.0 / step)
     radius = _SINC_ZERO_CROSSINGS / cutoff
     half = int(math.ceil(radius))
-    offsets = np.arange(-half, half + 1)
+    width = 2 * half + 1
+    taps = np.arange(-half, half + 1)
 
+    # windows[b] holds x[b - half : b + half + 1], zero outside [0, n)
+    padded = np.zeros(n + 2 * half)
+    padded[half : half + n] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
+
+    # Output q * up + p has phase p. Every work array has at most `rows`
+    # rows of `width` taps: the table holds min(up, out_len) phases, split
+    # into blocks only when up * width exceeds that bound (exotic rates
+    # above ~260 kHz), and each chunk of outputs spans whole table periods.
+    # Outputs of the last period past out_len get a clamped base and are
+    # dropped.
+    rows = max(1, (1 << 22) // width)
+    n_phases = min(up, out_len)
+    n_periods = -(-out_len // up)
     out = np.empty(out_len, dtype=np.float64)
-    chunk = max(1, (1 << 22) // (2 * half + 1))
-    for start in range(0, out_len, chunk):
-        j = np.arange(start, min(start + chunk, out_len))
-        t = j * step
-        base = np.floor(t).astype(np.int64)
-        idx = base[:, None] + offsets[None, :]
-        weights = _sinc_kernel(idx - t[:, None], cutoff, radius)
-        weights[(idx < 0) | (idx >= n)] = 0.0
-        values = x[np.clip(idx, 0, n - 1)]
-        out[j] = (weights * values).sum(axis=1) / weights.sum(axis=1)
+    for first in range(0, n_phases, rows):
+        phase = np.arange(first, min(first + rows, n_phases))
+        table = _sinc_kernel(taps - (phase * down % up / up)[:, None], cutoff, radius)
+        table_sums = table.sum(axis=1)
+        per_chunk = max(1, rows // phase.size)
+        for q in range(0, n_periods, per_chunk):
+            periods = np.arange(q, min(q + per_chunk, n_periods))
+            j = (periods[:, None] * up + phase).ravel()
+            base = np.minimum(j * down // up, n - 1)
+            gathered = windows[base].reshape(periods.size, phase.size, width)
+            dots = np.einsum("qpw,pw->qp", gathered, table).ravel()
+            sums = np.tile(table_sums, periods.size)
+            # rows whose kernel reaches past either end of the input are
+            # normalised by their in-range weights only
+            edge = np.flatnonzero((base < half) | (base >= n - half))
+            idx = base[edge, None] + taps
+            inside = (idx >= 0) & (idx < n)
+            sums[edge] = np.where(inside, table[edge % phase.size], 0.0).sum(axis=1)
+            keep = j < out_len
+            out[j[keep]] = dots[keep] / sums[keep]
     return AudioBuffer(samples=out, sample_rate=target_rate)
 
 

@@ -30,6 +30,14 @@ ADAM_EPS = 1e-8
 _DECAYED_LEAVES = frozenset({"P0", "U", "G", "V", "W"})
 
 
+class TrainingDivergedError(ValueError):
+    """The loss became NaN or infinite; `step` is the step that produced it."""
+
+    def __init__(self, step: int, loss: float):
+        super().__init__(f"training diverged at step {step} (loss {loss})")
+        self.step = step
+
+
 @dataclass
 class TrainConfig:
     """Optimization hyperparameters; defaults are the full-size recipe."""
@@ -286,7 +294,9 @@ def train(
     One seeded generator drives everything random, in a fixed order per
     step: the epoch shuffle, then per-example masking draws, then one
     stochastic-depth draw per block. Same seed, same data: bitwise
-    identical weights out.
+    identical weights out. A non-finite loss raises TrainingDivergedError
+    before that step's update; the weights then hold the previous step's
+    values and should be discarded.
     """
     cfg = weights.config
     features = np.asarray(features)
@@ -323,6 +333,8 @@ def train(
                 survival=config.survival,
                 rng=rng,
             )
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(step, loss)
             adamw_update(weights.tensors, grads, state, lr, config.weight_decay)
             batch_losses.append(loss)
             if on_step is not None:

@@ -104,6 +104,20 @@ class TestEmbed:
         )
         assert code == 3
 
+    def test_audio_shorter_than_one_output_sample_exits_3(
+        self, tmp_path, default_weights_file, capsys
+    ):
+        blip = tmp_path / "blip.wav"
+        blip.write_bytes(make_wav([0.5], rate=44100))  # rounds to 0 samples at 16 kHz
+        code = main(
+            [
+                "embed", str(blip), "--weights", str(default_weights_file),
+                "--output", str(tmp_path / "o.emb1"),
+            ]
+        )
+        assert code == 3
+        assert "too short" in capsys.readouterr().err
+
     def test_undecodable_audio_exits_3(self, tmp_path, default_weights_file):
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"this is not audio at all, not even close!")
@@ -293,13 +307,36 @@ class TestTrain:
         assert code == 1
         assert "cannot write" in capsys.readouterr().err
 
-    def test_output_that_is_a_directory_exits_1(self, tmp_path, capsys):
+    def _assert_exits_1_before_training(self, tmp_path, capsys, monkeypatch, directory):
         manifest = write_tiny_dataset(tmp_path)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran although its outputs cannot be written")
+
+        monkeypatch.setattr("audiomlp.cli.train", no_training)
         out = tmp_path / "m.kwm1"
-        out.mkdir()
+        (tmp_path / directory).mkdir()
         code = main(["train", "--manifest", str(manifest), "--output", str(out)] + TRAIN_FLAGS)
         assert code == 1
-        assert "cannot write" in capsys.readouterr().err
+        assert f"cannot write {tmp_path / directory}" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
+
+    def test_output_that_is_a_directory_exits_1(self, tmp_path, capsys, monkeypatch):
+        self._assert_exits_1_before_training(tmp_path, capsys, monkeypatch, "m.kwm1")
+
+    def test_optimizer_path_that_is_a_directory_exits_1(self, tmp_path, capsys, monkeypatch):
+        self._assert_exits_1_before_training(tmp_path, capsys, monkeypatch, "m.opt1")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_1_and_writes_no_weights(self, tmp_path, capsys):
+        manifest = write_tiny_dataset(tmp_path)
+        out = tmp_path / "m.kwm1"
+        flags = TRAIN_FLAGS + ["--depth", "2", "--peak-lr", "1e6"]
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)] + flags)
+        assert code == 1
+        assert "training diverged at step" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".opt1").exists()
 
     def test_bad_hyperparameters_exit_1(self, tmp_path):
         manifest = write_tiny_dataset(tmp_path)

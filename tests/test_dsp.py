@@ -2,16 +2,22 @@ from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audiomlp.dsp import (
+    _SINC_ZERO_CROSSINGS,
     FFT_SIZE,
     HOP_SAMPLES,
     WINDOW_SAMPLES,
+    _sinc_kernel,
     AudioBuffer,
+    DecodeError,
     EmptyWavError,
     MalformedWavError,
     NonFiniteWavError,
@@ -104,6 +110,73 @@ class TestDecodeWav:
         for exc in (MalformedWavError, UnsupportedWavError, EmptyWavError, NonFiniteWavError):
             assert issubclass(exc, ValueError)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes_decode_or_raise_decode_error(self, data):
+        _assert_decodes_or_raises_decode_error(data)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        samples=st.lists(st.floats(-1.0, 1.0), max_size=12),
+        channels=st.integers(1, 3),
+        rate=st.sampled_from([1, 8000, 44100, 192000]),
+        encoding=st.sampled_from(["pcm16", "float32"]),
+        fmt_code=st.sampled_from([None, None, 2, 0xFFFE]),
+        bits=st.sampled_from([None, None, 8, 24]),
+        sizes=st.dictionaries(
+            st.sampled_from([b"RIFF", b"fmt ", b"data"]),
+            st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1)),
+            max_size=3,
+        ),
+    )
+    def test_fuzzed_chunk_sizes_decode_or_raise_decode_error(
+        self, samples, channels, rate, encoding, fmt_code, bits, sizes
+    ):
+        frames = np.repeat(np.array(samples)[:, None], channels, axis=1)
+        wav = bytearray(make_wav(frames, rate, encoding=encoding, fmt_code=fmt_code, bits=bits))
+        for chunk_id, size in sizes.items():
+            at = wav.index(chunk_id) + 4
+            wav[at : at + 4] = struct.pack("<I", size)
+        _assert_decodes_or_raises_decode_error(bytes(wav))
+
+
+def _assert_decodes_or_raises_decode_error(data: bytes) -> None:
+    try:
+        buf = decode_wav(data)
+    except DecodeError:
+        return
+    assert isinstance(buf, AudioBuffer)
+    assert buf.samples.ndim == 1 and len(buf.samples) > 0
+    assert buf.sample_rate > 0
+
+
+def _direct_resample(x: np.ndarray, source: int, target: int) -> np.ndarray:
+    """Oracle: one kernel evaluation per output sample, at t = j * source / target.
+
+    Output j is the dot product of the kernel at offsets idx - t with the
+    input at the taps idx around floor(t), divided by the sum of the weights
+    of the taps that fall inside the input.
+    """
+    n = x.size
+    out_len = (n * target + source // 2) // source
+    step = source / target
+    cutoff = min(1.0, 1.0 / step)
+    radius = _SINC_ZERO_CROSSINGS / cutoff
+    half = int(math.ceil(radius))
+    offsets = np.arange(-half, half + 1)
+    out = np.empty(out_len, dtype=np.float64)
+    chunk = max(1, (1 << 22) // (2 * half + 1))
+    for start in range(0, out_len, chunk):
+        j = np.arange(start, min(start + chunk, out_len))
+        t = j * step
+        base = np.floor(t).astype(np.int64)
+        idx = base[:, None] + offsets[None, :]
+        weights = _sinc_kernel(idx - t[:, None], cutoff, radius)
+        weights[(idx < 0) | (idx >= n)] = 0.0
+        values = x[np.clip(idx, 0, n - 1)]
+        out[j] = (weights * values).sum(axis=1) / weights.sum(axis=1)
+    return out
+
 
 class TestResample:
     def test_identity_rate_returns_copy(self):
@@ -150,6 +223,45 @@ class TestResample:
             resample(AudioBuffer(np.zeros(10), 16000), 0)
         with pytest.raises(ValueError):
             resample(AudioBuffer(np.zeros(0), 16000), 8000)
+
+    # 44101 Hz reduces to up = 16000 phases; n = 1 and n = 30 are shorter
+    # than the kernel, so every output row is an edge row.
+    @pytest.mark.parametrize(
+        "source,target",
+        [(44100, 16000), (48000, 16000), (22050, 16000), (11025, 16000),
+         (8000, 16000), (44101, 16000), (16000, 8000)],
+    )
+    @pytest.mark.parametrize("n", [1, 30, 1000, 20011])
+    def test_matches_direct_oracle(self, source, target, n):
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        got = resample(AudioBuffer(x, source), target).samples
+        expected = _direct_resample(x, source, target)
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        source=st.integers(1000, 200000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_oracle_at_any_rate(self, n, source, seed):
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        got = resample(AudioBuffer(x, source), 16000).samples
+        np.testing.assert_allclose(got, _direct_resample(x, source, 16000), rtol=0, atol=1e-9)
+
+    def test_long_clip_memory_is_bounded(self):
+        # The work arrays are built in chunks; without the bound, 60 s at
+        # 44.1 kHz would gather several hundred MB at once.
+        audio = AudioBuffer(np.random.default_rng(5).uniform(-1.0, 1.0, 60 * 44100), 44100)
+        tracemalloc.start()
+        try:
+            out = resample(audio, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.samples) == 60 * 16000
+        assert peak < 200e6
 
 
 class TestPadAndSegment:

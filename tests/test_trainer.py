@@ -16,6 +16,7 @@ from audiomlp.trainer import (
     AdamWState,
     StepRecord,
     TrainConfig,
+    TrainingDivergedError,
     adamw_update,
     augment,
     evaluate,
@@ -424,6 +425,20 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch_size=4, warmup_epochs=0, time_mask_width=7)  # grid is 6 frames
         with pytest.raises(ValueError):
             train(feats, labels, w, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_stops_at_its_step(self):
+        feats, labels = separable_toy_data()
+        w = self._toy_setup()
+        w.tensors["head.bias"][0] = np.inf  # the first loss is already NaN
+        records: list[StepRecord] = []
+        cfg = TrainConfig(epochs=2, batch_size=4, warmup_epochs=0, seed=3,
+                          time_masks=0, freq_masks=0)
+        with pytest.raises(TrainingDivergedError, match="diverged at step 0") as info:
+            train(feats, labels, w, cfg, on_step=records.append)
+        assert info.value.step == 0
+        assert isinstance(info.value, ValueError)
+        assert records == []
 
     def test_rejects_empty_dataset(self):
         w = self._toy_setup()

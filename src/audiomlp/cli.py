@@ -6,10 +6,11 @@ embeddings), inspect (summarize a weights file), interp-demo (image
 downsampling comparison of the two interpolation strategies).
 
 Exit codes: 0 success, 1 usage errors (bad flags, depth beyond the
-model, an unwritable --output) and training runs whose loss diverges, 2
-unreadable, malformed or non-finite weight files, 3 unreadable or
-undecodable audio, 4 manifest problems, 5 probe data problems
-(embeddings/labels that do not line up, or fewer than two classes).
+model, an unwritable --output, a train --output ending in .opt1 or .csv)
+and training runs whose loss diverges, 2 unreadable, malformed or
+non-finite weight files, 3 unreadable or undecodable audio, 4 manifest
+problems, 5 probe data problems (embeddings/labels that do not line up,
+or fewer than two classes).
 Every command prints a single JSON line with its results.
 """
 
@@ -44,6 +45,7 @@ from .formats import (
     save_embeddings,
     save_optimizer_state,
     save_weights,
+    write_file_atomic,
     write_pgm,
 )
 from .probe import ProbeConfig, evaluate_probe, train_probe
@@ -106,7 +108,8 @@ def _why_unwritable(path: Path) -> str | None:
         return "it is a directory"
     if not path.parent.is_dir():
         return f"no directory {path.parent}"
-    if not os.access(path if path.exists() else path.parent, os.W_OK):
+    # formats writes a temp file in the directory, then renames it to path
+    if not os.access(path.parent, os.W_OK):
         return "permission denied"
     return None
 
@@ -135,7 +138,7 @@ def cmd_embed(args) -> int:
         return _fail(EXIT_AUDIO, f"cannot embed {args.audio}: {exc}")
     try:
         if args.format == "csv":
-            Path(args.output).write_text(format_embeddings_csv(embeddings))
+            write_file_atomic(args.output, format_embeddings_csv(embeddings).encode("ascii"))
         else:
             save_embeddings(args.output, embeddings)
     except OSError as exc:
@@ -197,6 +200,12 @@ def cmd_train(args) -> int:
 
     weights = init_weights(encoder_config, seed=args.seed)
     output = Path(args.output)
+    if output.suffix.lower() in (".opt1", ".csv"):
+        return _fail(
+            EXIT_USAGE,
+            f"cannot write {output}: train writes its .opt1 and .csv siblings, "
+            "which would overwrite it",
+        )
     # find an unwritable weights path now, not after the whole run
     for path in (output, output.with_suffix(".opt1")):
         problem = _why_unwritable(path)

@@ -10,8 +10,12 @@ norm is applied at whatever depth embeddings are read from.
 This module holds the package's only forward pass. The same functions
 run one example or a batch; the trainer passes per-example
 stochastic-depth factors and a cache that collects the intermediates of
-its hand-written backward pass. GELU, its derivative and layer norm are
-defined here once and shared with the trainer and the probes.
+its hand-written backward pass. Per block the cache holds the two layer
+norms' normalized inputs and inverse deviations, the GELU derivative,
+the value half, the mixed gate and the gated product; the norm outputs
+are recomputed in the backward pass rather than kept. GELU (alone, or
+with its derivative from the same erf) and layer norm are defined here
+once and shared with the trainer and the probes.
 
 Weights live in a flat dict of named float32 arrays. The names double as
 the on-disk tensor names, the optimizer state keys and the gradient keys,
@@ -150,10 +154,14 @@ def gelu(u: np.ndarray) -> np.ndarray:
     return 0.5 * u * _one_plus_erf(u)
 
 
-def gelu_grad(u: np.ndarray) -> np.ndarray:
-    """d/du of u * Phi(u), which is Phi(u) + u * phi(u)."""
+def gelu_with_grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU and its derivative Phi(u) + u * phi(u), from one erf call.
+
+    The first result has the same bits as gelu(u).
+    """
+    phi2 = _one_plus_erf(u)
     pdf = np.exp(-0.5 * u * u) * (1.0 / math.sqrt(2.0 * math.pi))
-    return 0.5 * _one_plus_erf(u) + u * pdf
+    return 0.5 * u * phi2, 0.5 * phi2 + u * pdf
 
 
 def layer_norm(
@@ -191,13 +199,19 @@ def block_forward(
 
     scale, for a batch, is the per-example (B,) factor on the branch
     (stochastic depth). With a cache dict, the intermediates the backward
-    pass needs are stored in it.
+    pass needs are stored in it: the two norms' xhat/istd, the GELU
+    derivative "dgelu", a contiguous copy of "value", "mixed", "gated"
+    and "scale". The norm outputs are not kept; the backward pass
+    recomputes them as xhat * scale + shift, which gives the same bits.
     """
     p = f"block.{index}."
     half = tensors[p + "U"].shape[1] // 2
     n1 = layer_norm(x, tensors[p + "pre_norm.scale"], tensors[p + "pre_norm.shift"], cache, "1")
     upre = n1 @ tensors[p + "U"] + tensors[p + "U.bias"]
-    hidden = gelu(upre)
+    if cache is None:
+        hidden = gelu(upre)
+    else:
+        hidden, cache["dgelu"] = gelu_with_grad(upre)
     value, gate = hidden[..., :half], hidden[..., half:]
     n2 = layer_norm(
         gate, tensors[p + "gate_norm.scale"], tensors[p + "gate_norm.shift"], cache, "2"
@@ -208,9 +222,8 @@ def block_forward(
     if scale is not None:
         branch = branch * scale[:, None, None]
     if cache is not None:
-        cache.update(
-            n1=n1, upre=upre, value=value, n2=n2, mixed=mixed, gated=gated, scale=scale
-        )
+        # a copy, so the cache does not keep the whole GELU output alive
+        cache.update(value=value.copy(), mixed=mixed, gated=gated, scale=scale)
     return x + branch
 
 

@@ -10,10 +10,16 @@ row-major little-endian payload. Weight files ("KWM1") carry a leading
 Embedding files ("EMB1") are a plain matrix: magic, u32 rows, u32 cols,
 float32 payload. The CSV flavor writes one row per line with %.9g, which
 round-trips float32 exactly.
+
+Every file is written whole to a temp file in the target's directory and
+then renamed over the target, so a write that fails leaves any old file
+as it was and no partial file behind.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -38,6 +44,23 @@ class ManifestError(ValueError):
     """A training manifest line is malformed."""
 
 
+def write_file_atomic(path, data: bytes) -> None:
+    """Write data to a new temp file beside path, then rename it to path.
+
+    If anything fails, the temp file is removed and an existing file at
+    path keeps its old bytes.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_tensor_table(path, magic: bytes, tensors: dict[str, np.ndarray]) -> None:
     """Serialize named tensors in dict order; dtypes are forced to f32/u32."""
     blob = bytearray(magic)
@@ -51,7 +74,7 @@ def write_tensor_table(path, magic: bytes, tensors: dict[str, np.ndarray]) -> No
         blob += struct.pack("<BB", code, arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    write_file_atomic(path, bytes(blob))
 
 
 def read_tensor_table(path, magic: bytes) -> dict[str, np.ndarray]:
@@ -85,9 +108,11 @@ def read_tensor_table(path, magic: bytes) -> dict[str, np.ndarray]:
             raise FormatError(f"rank {rank} too large for tensor {name!r}")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
         dtype = _DTYPE_FOR_CODE[code]
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = take(size * dtype.itemsize, f"payload of {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name!r}")
+        try:
+            tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:  # a zero dim beside dims too large for numpy
+            raise FormatError(f"shape {dims} of tensor {name!r}: {exc}") from None
     if off != len(data):
         raise FormatError(f"{len(data) - off} trailing bytes after last tensor")
     return tensors
@@ -162,8 +187,7 @@ def save_embeddings(path, matrix: np.ndarray) -> None:
         raise ValueError("embeddings must be a row-per-example matrix")
     rows, cols = matrix.shape
     payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(EMBEDDINGS_MAGIC + struct.pack("<II", rows, cols) + payload)
+    write_file_atomic(path, EMBEDDINGS_MAGIC + struct.pack("<II", rows, cols) + payload)
 
 
 def load_embeddings(path) -> np.ndarray:
@@ -189,7 +213,11 @@ def load_manifest(path) -> list[tuple[Path, int]]:
     manifest_path = Path(path)
     base = manifest_path.parent
     entries: list[tuple[Path, int]] = []
-    for lineno, raw in enumerate(manifest_path.read_text().splitlines(), 1):
+    try:
+        text = manifest_path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -202,6 +230,8 @@ def load_manifest(path) -> list[tuple[Path, int]]:
             raise ManifestError(f"line {lineno}: label {label_text.strip()!r} is not an integer") from None
         if label < 0:
             raise ManifestError(f"line {lineno}: label must be non-negative")
+        if "\0" in wav:
+            raise ManifestError(f"line {lineno}: wav path contains a NUL character")
         wav_path = Path(wav.strip())
         if not wav_path.is_absolute():
             wav_path = base / wav_path
@@ -217,6 +247,4 @@ def write_pgm(path, image: np.ndarray) -> None:
     if image.ndim != 2 or image.dtype != np.uint8:
         raise ValueError("PGM writer expects a 2-D uint8 image")
     height, width = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
+    write_file_atomic(path, f"P5\n{width} {height}\n255\n".encode("ascii") + image.tobytes())

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import gelu, gelu_grad
+from .encoder import gelu, gelu_with_grad
 from .trainer import adamw_update, init_adamw_state, smoothed_cross_entropy
 
 
@@ -84,12 +84,11 @@ def _probe_grads(embeddings, labels, probe):
         logits = embeddings @ t["W"] + t["b"]
         loss, dlogits = smoothed_cross_entropy(logits, labels, 0.0)
         return loss, {"W": embeddings.T @ dlogits, "b": dlogits.sum(axis=0)}
-    pre = embeddings @ t["W1"] + t["b1"]
-    hidden = gelu(pre)
+    hidden, dgelu = gelu_with_grad(embeddings @ t["W1"] + t["b1"])
     logits = hidden @ t["W2"] + t["b2"]
     loss, dlogits = smoothed_cross_entropy(logits, labels, 0.0)
     dhidden = dlogits @ t["W2"].T
-    dpre = dhidden * gelu_grad(pre)
+    dpre = dhidden * dgelu
     grads = {
         "W2": hidden.T @ dlogits,
         "b2": dlogits.sum(axis=0),

@@ -7,7 +7,11 @@ branches are scaled by 1 / survival so inference needs no rescaling.
 
 This module holds the loss, the backward pass and the optimizer. The
 backward pass is written out analytically layer by layer; there is no
-autodiff anywhere in the package. Gradients live in a plain dict keyed by
+autodiff anywhere in the package. It reads the GELU derivative that the
+forward pass computed from the same erf, recomputes each block's two
+norm outputs from the cached xhat (the same bits, without keeping them),
+and forms every weight gradient as one matrix product over the batch's
+flattened (B * frames) rows. Gradients live in a plain dict keyed by
 the same tensor names the weights use, which is also what the AdamW
 update and the optimizer state files consume.
 """
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncoderWeights, encode, gelu_grad
+from .encoder import EncoderWeights, encode
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -124,6 +128,11 @@ def _layer_norm_bwd(dy, xhat, istd, scale):
     return dx, dscale, dshift
 
 
+def _flat(x: np.ndarray) -> np.ndarray:
+    """(B, T, C) to (B * T, C), so a weight gradient is one matrix product."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def forward_batch(
     features: np.ndarray,
     weights: EncoderWeights,
@@ -189,27 +198,29 @@ def loss_and_grads(
         bc = cache["blocks"][i]
         dout = dx
         dbranch = dout if bc["scale"] is None else dout * bc["scale"][:, None, None]
-        grads[p + "V"] = np.einsum("btc,btd->cd", bc["gated"], dbranch)
+        grads[p + "V"] = _flat(bc["gated"]).T @ _flat(dbranch)
         grads[p + "V.bias"] = dbranch.sum(axis=(0, 1))
         dgated = dbranch @ t[p + "V"].T
         dvalue = dgated * bc["mixed"]
         dmixed = dgated * bc["value"]
-        grads[p + "G"] = np.einsum("btd,bud->tu", dmixed, bc["n2"])
+        n2 = bc["xhat2"] * t[p + "gate_norm.scale"] + t[p + "gate_norm.shift"]
+        grads[p + "G"] = (dmixed @ np.swapaxes(n2, 1, 2)).sum(axis=0)
         grads[p + "G.bias"] = dmixed.sum(axis=(0, 2))
         dn2 = np.matmul(t[p + "G"].T, dmixed)
         dgate, grads[p + "gate_norm.scale"], grads[p + "gate_norm.shift"] = _layer_norm_bwd(
             dn2, bc["xhat2"], bc["istd2"], t[p + "gate_norm.scale"]
         )
         dhidden = np.concatenate([dvalue, dgate], axis=-1)
-        dupre = dhidden * gelu_grad(bc["upre"])
-        grads[p + "U"] = np.einsum("btd,bth->dh", bc["n1"], dupre)
+        dupre = dhidden * bc["dgelu"]
+        n1 = bc["xhat1"] * t[p + "pre_norm.scale"] + t[p + "pre_norm.shift"]
+        grads[p + "U"] = _flat(n1).T @ _flat(dupre)
         grads[p + "U.bias"] = dupre.sum(axis=(0, 1))
         dn1 = dupre @ t[p + "U"].T
         dxpre, grads[p + "pre_norm.scale"], grads[p + "pre_norm.shift"] = _layer_norm_bwd(
             dn1, bc["xhat1"], bc["istd1"], t[p + "pre_norm.scale"]
         )
         dx = dout + dxpre
-    grads["P0"] = np.einsum("btf,btd->fd", np.swapaxes(features, 1, 2), dx)
+    grads["P0"] = _flat(np.swapaxes(features, 1, 2)).T @ _flat(dx)
     grads["P0.bias"] = dx.sum(axis=(0, 1))
     return loss, grads
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import os
 import struct
 from pathlib import Path
@@ -70,3 +71,31 @@ def sine():
 @pytest.fixture
 def noise():
     return noise_clip
+
+
+class _HalfWriter:
+    """A file whose write() stores half of its bytes, then reports a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    """Every file audiomlp.formats opens fails halfway through its write."""
+    real_open = open
+    monkeypatch.setattr(
+        "audiomlp.formats.open",
+        lambda *args, **kwargs: _HalfWriter(real_open(*args, **kwargs)),
+        raising=False,
+    )

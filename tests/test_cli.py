@@ -193,6 +193,25 @@ class TestEmbed:
         assert code == 1
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["emb1", "csv"])
+    def test_failed_write_keeps_old_output(
+        self, tmp_path, default_weights_file, capsys, disk_full, fmt
+    ):
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(make_wav(sine_clip(440.0)))
+        out = tmp_path / f"o.{fmt}"
+        out.write_bytes(b"old contents")
+        code = main(
+            [
+                "embed", str(wav), "--weights", str(default_weights_file),
+                "--output", str(out), "--format", fmt,
+            ]
+        )
+        assert code == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert out.read_bytes() == b"old contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", f"o.{fmt}"]
+
     def test_depth_beyond_model_exits_1(self, tmp_path, default_weights_file):
         wav = tmp_path / "a.wav"
         wav.write_bytes(make_wav(sine_clip(440.0)))
@@ -267,6 +286,16 @@ class TestTrain:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("line", [b"a\0.wav\t1\n", b"\xff.wav\t1\n"])
+    def test_undecodable_manifest_exits_4(self, tmp_path, line):
+        (tmp_path / "a.wav").write_bytes(make_wav(sine_clip(440.0)))
+        manifest = tmp_path / "m.tsv"
+        manifest.write_bytes(b"a.wav\t0\n" + line)
+        code = main(
+            ["train", "--manifest", str(manifest), "--output", str(tmp_path / "m.kwm1")]
+        )
+        assert code == 4
+
     def test_single_class_manifest_exits_4(self, tmp_path):
         wav = tmp_path / "a.wav"
         wav.write_bytes(make_wav(sine_clip(440.0)))
@@ -306,6 +335,20 @@ class TestTrain:
         code = main(["train", "--manifest", str(manifest), "--output", str(out)] + TRAIN_FLAGS)
         assert code == 1
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", [".opt1", ".csv"])
+    def test_output_with_a_sibling_suffix_exits_1(self, tmp_path, capsys, monkeypatch, suffix):
+        manifest = write_tiny_dataset(tmp_path)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran although it would overwrite its own output")
+
+        monkeypatch.setattr("audiomlp.cli.train", no_training)
+        out = tmp_path / f"m{suffix}"
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)] + TRAIN_FLAGS)
+        assert code == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not out.exists()
 
     def _assert_exits_1_before_training(self, tmp_path, capsys, monkeypatch, directory):
         manifest = write_tiny_dataset(tmp_path)

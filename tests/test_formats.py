@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audiomlp.encoder import EncoderConfig, init_weights
 from audiomlp.formats import (
@@ -21,6 +23,7 @@ from audiomlp.formats import (
     save_embeddings,
     save_optimizer_state,
     save_weights,
+    write_file_atomic,
     write_pgm,
     write_tensor_table,
 )
@@ -265,6 +268,18 @@ class TestManifest:
         with pytest.raises(ManifestError, match="no entries"):
             load_manifest(mf)
 
+    def test_nul_in_path(self, tmp_path):
+        mf = tmp_path / "m.tsv"
+        mf.write_text("a.wav\t0\nb\0.wav\t1\n")
+        with pytest.raises(ManifestError, match="line 2: wav path contains a NUL"):
+            load_manifest(mf)
+
+    def test_not_utf8(self, tmp_path):
+        mf = tmp_path / "m.tsv"
+        mf.write_bytes(b"\xff.wav\t0\n")
+        with pytest.raises(ManifestError, match="not UTF-8"):
+            load_manifest(mf)
+
 
 class TestPgm:
     def test_header_and_payload(self, tmp_path):
@@ -278,3 +293,118 @@ class TestPgm:
     def test_rejects_wrong_dtype(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "i.pgm", np.zeros((3, 4), dtype=np.float32))
+
+
+_WRITERS = {
+    "kwm1": lambda p: save_weights(p, init_weights(TOY, seed=1)),
+    "opt1": lambda p: save_optimizer_state(p, init_adamw_state(init_weights(TOY).tensors)),
+    "emb1": lambda p: save_embeddings(p, np.ones((2, 3))),
+    "pgm": lambda p: write_pgm(p, np.zeros((3, 4), dtype=np.uint8)),
+    "csv": lambda p: write_file_atomic(p, format_embeddings_csv(np.ones((2, 3))).encode()),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("kind", sorted(_WRITERS))
+    def test_failed_write_keeps_old_file(self, tmp_path, disk_full, kind):
+        path = tmp_path / f"out.{kind}"
+        path.write_bytes(b"old contents")
+        with pytest.raises(OSError, match="No space left"):
+            _WRITERS[kind](path)
+        assert path.read_bytes() == b"old contents"
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+
+    @pytest.mark.parametrize("kind", sorted(_WRITERS))
+    def test_failed_write_creates_nothing(self, tmp_path, disk_full, kind):
+        with pytest.raises(OSError):
+            _WRITERS[kind](tmp_path / f"out.{kind}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", sorted(_WRITERS))
+    def test_write_replaces_old_file(self, tmp_path, kind):
+        path = tmp_path / f"out.{kind}"
+        _WRITERS[kind](path)
+        expected = path.read_bytes()
+        path.write_bytes(b"old contents")
+        _WRITERS[kind](path)
+        assert path.read_bytes() == expected
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_directory_target_is_left_alone(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_file_atomic(tmp_path / "d", b"x")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+
+def _tensor_header(name: bytes, code: int, dims: list[int]) -> bytes:
+    return (
+        struct.pack("<H", len(name)) + name + struct.pack("<BB", code, len(dims))
+        + struct.pack(f"<{len(dims)}I", *dims)
+    )
+
+
+class TestFuzzedInputs:
+    """Only a valid result or the module's own error may come out."""
+
+    @staticmethod
+    def _read_or_format_error(path):
+        try:
+            tensors = read_tensor_table(path, WEIGHTS_MAGIC)
+        except FormatError:
+            return
+        for name, tensor in tensors.items():
+            assert isinstance(name, str) and tensor.dtype in (np.dtype("<f4"), np.dtype("<u4"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes_read_or_raise_format_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "t.bin"
+        path.write_bytes(data)
+        self._read_or_format_error(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        count=st.integers(0, 2**32 - 1),
+        name=st.binary(max_size=6),
+        code=st.integers(0, 255),
+        dims=st.lists(st.integers(0, 2**32 - 1), max_size=10),
+        payload=st.binary(max_size=64),
+    )
+    def test_fuzzed_header_reads_or_raises_format_error(
+        self, tmp_path_factory, count, name, code, dims, payload
+    ):
+        path = tmp_path_factory.mktemp("fuzz") / "t.bin"
+        path.write_bytes(
+            WEIGHTS_MAGIC + struct.pack("<I", count) + _tensor_header(name, code, dims) + payload
+        )
+        self._read_or_format_error(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_manifest_bytes_parse_or_raise_manifest_error(self, tmp_path_factory, data):
+        self._parse_or_manifest_error(tmp_path_factory.mktemp("fuzz") / "m.tsv", data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.text(max_size=8), st.sampled_from(["\t", " ", ""]), st.text(max_size=6)),
+            max_size=5,
+        )
+    )
+    def test_fuzzed_manifest_lines_parse_or_raise_manifest_error(self, tmp_path_factory, lines):
+        text = "".join(f"{wav}{sep}{label}\n" for wav, sep, label in lines)
+        path = tmp_path_factory.mktemp("fuzz") / "m.tsv"
+        self._parse_or_manifest_error(path, text.encode("utf-8", "surrogatepass"))
+
+    @staticmethod
+    def _parse_or_manifest_error(path, data):
+        path.write_bytes(data)
+        try:
+            entries = load_manifest(path)
+        except ManifestError:
+            return
+        assert entries
+        for wav, label in entries:
+            assert isinstance(label, int) and label >= 0
+            assert "\0" not in str(wav)

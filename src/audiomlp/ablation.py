@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .dsp import AudioBuffer, mfcc
 from .encoder import EncoderConfig, extract_timestamps, init_weights
+from .formats import why_unwritable, write_file_atomic
 from .probe import ProbeConfig, evaluate_probe, train_probe
 from .scene import ALGORITHMS, scene_embedding
 
@@ -77,10 +77,19 @@ def main(argv=None) -> int:
     parser.add_argument("--probe-epochs", type=int, default=200)
     parser.add_argument("--output", default=None, help="also write the JSON here")
     args = parser.parse_args(argv)
+    # find an unwritable output now, not after the whole grid
+    problem = args.output and why_unwritable(args.output)
+    if problem:
+        print(f"error: cannot write {args.output}: {problem}", file=sys.stderr)
+        return 1
     table = run_grid(args.seed, args.clips_per_class, args.probe_epochs)
     text = json.dumps(table)
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        try:
+            write_file_atomic(args.output, (text + "\n").encode("ascii"))
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 1
     print(text)
     return 0
 

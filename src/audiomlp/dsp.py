@@ -3,8 +3,9 @@
 Everything downstream expects mono 16 kHz audio cut into exact 1 s
 segments. Other rates are resampled with a polyphase Kaiser-windowed sinc
 filter: for a rate ratio reduced to up/down there are only `up` distinct
-kernel phases, so each call tabulates them once and every output sample
-is a dot product of one table row with the input around it. A segment is
+kernel phases, so each call tabulates them once, and all outputs of one
+phase come from a single matrix-vector product of that phase's table row
+with a strided view of the input windows. A segment is
 framed with a 30 ms window and 10 ms hop (no centering), run through a
 Hann window, a power spectrum, a 40-filter mel bank and an orthonormal
 DCT-II, producing a 40x98 matrix. These MFCC settings are fixed module
@@ -151,13 +152,15 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Resample with a Kaiser-windowed sinc kernel, one polyphase table per call.
 
     Output length is round(len * target / source). With the ratio reduced
-    to up/down = target/source, output j sits at input position
-    j * down / up: whole part j * down // up, fractional phase
-    (j * down % up) / up. There are only `up` distinct phases, so the
-    kernel is tabulated once per phase (at most one row per output) and
-    each output is a dot product of its phase's row with the input window
-    around its whole position, divided by the sum of the row's weights that
-    fall inside the input. Constant (DC) signals therefore pass through
+    to up/down = target/source, output j = q * up + p sits at input
+    position j * down / up: whole part q * down + p * down // up,
+    fractional phase (p * down % up) / up. The kernel is tabulated once
+    per phase p (at most one row per output), and for a fixed p the whole
+    parts step by `down`, so all outputs of phase p are one matrix-vector
+    product of a strided view of the input windows with that phase's row.
+    The same product over an in-range indicator (1 on input samples, 0 in
+    the zero padding) gives each output's divisor: the sum of the weights
+    that land on real input. Constant (DC) signals therefore pass through
     unchanged, also at the edges. Identical rates return a plain copy.
     """
     _require_samples(audio)
@@ -175,44 +178,22 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     cutoff = min(1.0, 1.0 / step)
     radius = _SINC_ZERO_CROSSINGS / cutoff
     half = int(math.ceil(radius))
-    width = 2 * half + 1
     taps = np.arange(-half, half + 1)
 
-    # windows[b] holds x[b - half : b + half + 1], zero outside [0, n)
-    padded = np.zeros(n + 2 * half)
-    padded[half : half + n] = x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
+    # windows[0, b] holds x[b - half : b + half + 1], zero outside [0, n);
+    # windows[1, b] is 1 where that tap is an input sample and 0 elsewhere
+    padded = np.zeros((2, n + 2 * half))
+    padded[0, half : half + n] = x
+    padded[1, half : half + n] = 1.0
+    windows = np.lib.stride_tricks.sliding_window_view(padded, taps.size, axis=1)
 
-    # Output q * up + p has phase p. Every work array has at most `rows`
-    # rows of `width` taps: the table holds min(up, out_len) phases, split
-    # into blocks only when up * width exceeds that bound (exotic rates
-    # above ~260 kHz), and each chunk of outputs spans whole table periods.
-    # Outputs of the last period past out_len get a clamped base and are
-    # dropped.
-    rows = max(1, (1 << 22) // width)
-    n_phases = min(up, out_len)
-    n_periods = -(-out_len // up)
+    phases = np.arange(min(up, out_len))
+    table = _sinc_kernel(taps - (phases * down % up / up)[:, None], cutoff, radius)
     out = np.empty(out_len, dtype=np.float64)
-    for first in range(0, n_phases, rows):
-        phase = np.arange(first, min(first + rows, n_phases))
-        table = _sinc_kernel(taps - (phase * down % up / up)[:, None], cutoff, radius)
-        table_sums = table.sum(axis=1)
-        per_chunk = max(1, rows // phase.size)
-        for q in range(0, n_periods, per_chunk):
-            periods = np.arange(q, min(q + per_chunk, n_periods))
-            j = (periods[:, None] * up + phase).ravel()
-            base = np.minimum(j * down // up, n - 1)
-            gathered = windows[base].reshape(periods.size, phase.size, width)
-            dots = np.einsum("qpw,pw->qp", gathered, table).ravel()
-            sums = np.tile(table_sums, periods.size)
-            # rows whose kernel reaches past either end of the input are
-            # normalised by their in-range weights only
-            edge = np.flatnonzero((base < half) | (base >= n - half))
-            idx = base[edge, None] + taps
-            inside = (idx >= 0) & (idx < n)
-            sums[edge] = np.where(inside, table[edge % phase.size], 0.0).sum(axis=1)
-            keep = j < out_len
-            out[j[keep]] = dots[keep] / sums[keep]
+    for p in phases:
+        count = len(range(p, out_len, up))
+        dots, weights = windows[:, p * down // up :: down][:, :count] @ table[p]
+        out[p::up] = dots / weights
     return AudioBuffer(samples=out, sample_rate=target_rate)
 
 

@@ -61,6 +61,19 @@ def write_file_atomic(path, data: bytes) -> None:
         raise
 
 
+def why_unwritable(path) -> str | None:
+    """Why write_file_atomic cannot write `path`, or None if nothing is in the way."""
+    path = Path(path)
+    if path.is_dir():
+        return "it is a directory"
+    if not path.parent.is_dir():
+        return f"no directory {path.parent}"
+    # the temp file is created in the directory, then renamed to path
+    if not os.access(path.parent, os.W_OK):
+        return "permission denied"
+    return None
+
+
 def write_tensor_table(path, magic: bytes, tensors: dict[str, np.ndarray]) -> None:
     """Serialize named tensors in dict order; dtypes are forced to f32/u32."""
     blob = bytearray(magic)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncoderWeights, encode
+from .encoder import EncoderConfig, EncoderWeights, encode
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -133,6 +133,13 @@ def _flat(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
+def _check_features(features: np.ndarray, cfg: EncoderConfig) -> None:
+    if features.ndim != 3 or features.shape[1:] != (cfg.n_mfcc, cfg.n_frames):
+        raise ValueError(
+            f"features shape {features.shape} != (B, {cfg.n_mfcc}, {cfg.n_frames})"
+        )
+
+
 def forward_batch(
     features: np.ndarray,
     weights: EncoderWeights,
@@ -149,10 +156,7 @@ def forward_batch(
     """
     cfg = weights.config
     t = weights.tensors
-    if features.ndim != 3 or features.shape[1:] != (cfg.n_mfcc, cfg.n_frames):
-        raise ValueError(
-            f"features shape {features.shape} != (B, {cfg.n_mfcc}, {cfg.n_frames})"
-        )
+    _check_features(features, cfg)
     scales = None
     if survival < 1.0:
         if rng is None:
@@ -357,10 +361,18 @@ def train(
 
 
 def predict(features: np.ndarray, weights: EncoderWeights, batch_size: int = 256) -> np.ndarray:
-    """Argmax class per example, batched inference (no stochastic depth)."""
+    """Argmax class per example, batched inference (no stochastic depth).
+
+    The logits are forward_batch's, but encode runs without a cache, so no
+    backward intermediates are kept.
+    """
+    cfg = weights.config
+    t = weights.tensors
     out = []
     for lo in range(0, len(features), batch_size):
-        logits, _ = forward_batch(features[lo : lo + batch_size], weights)
+        batch = features[lo : lo + batch_size]
+        _check_features(batch, cfg)
+        logits = encode(batch, t, cfg.depth).mean(axis=1) @ t["head.W"] + t["head.bias"]
         out.append(np.argmax(logits, axis=1))
     return np.concatenate(out)
 

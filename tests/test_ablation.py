@@ -34,3 +34,25 @@ def test_main_writes_output(tmp_path, capsys):
     on_disk = json.loads(out.read_text())
     assert printed == on_disk
     assert len(on_disk["results"]) == 9
+
+
+def test_unwritable_output_exits_1_before_the_grid(tmp_path, capsys, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the grid ran before the output path was checked")
+
+    monkeypatch.setattr("audiomlp.ablation.run_grid", no_grid)
+    out = tmp_path / "missing" / "table.json"
+    assert main(["--output", str(out)]) == 1
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_failed_write_exits_1_and_leaves_no_temp_file(tmp_path, capsys, disk_full):
+    out = tmp_path / "table.json"
+    rc = main(
+        ["--seed", "2", "--clips-per-class", "2", "--probe-epochs", "25",
+         "--output", str(out)]
+    )
+    assert rc == 1
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

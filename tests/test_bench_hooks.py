@@ -37,8 +37,7 @@ def test_every_target_resolves(spans):
         )
 
 
-def test_train_and_embed_record_spans(spans, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KWMLP_THREADS", "1")
+def test_train_and_embed_record_spans(spans, tmp_path, capsys):
     rng = np.random.default_rng(0)
     (tmp_path / "tone.wav").write_bytes(make_wav(sine_clip(440.0)))
     (tmp_path / "hiss.wav").write_bytes(make_wav(noise_clip(rng)))

@@ -14,8 +14,16 @@ its hand-written backward pass. Per block the cache holds the two layer
 norms' normalized inputs and inverse deviations, the GELU derivative,
 the value half, the mixed gate and the gated product; the norm outputs
 are recomputed in the backward pass rather than kept. GELU (alone, or
-with its derivative from the same erf) and layer norm are defined here
-once and shared with the trainer and the probes.
+with its derivative from the same Gaussian CDF evaluation) and layer
+norm are defined here once and shared with the trainer and the probes.
+
+GELU is exact, u * Phi(u) (Hendrycks & Gimpel, arXiv 1606.08415). Phi
+comes from a numpy kernel: erfc(z) = t * exp(-z*z + P(2t - 1)) with
+t = 2 / (2 + z) and P a Chebyshev series fitted by tools/fit_erfc.py,
+truncated to 10 terms for float32 and 22 for float64 and evaluated by
+Horner's rule. It runs over the flattened input in blocks of _GELU_CHUNK
+elements, every step in place in four reused scratch rows, so its memory
+beyond the outputs does not grow with the batch.
 
 Weights live in a flat dict of named float32 arrays. The names double as
 the on-disk tensor names, the optimizer state keys and the gradient keys,
@@ -28,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 LN_EPS = 1e-5
 
@@ -144,24 +151,127 @@ def init_weights(config: EncoderConfig | None = None, seed: int = 0) -> EncoderW
     return EncoderWeights(config, tensors)
 
 
-def _one_plus_erf(u: np.ndarray) -> np.ndarray:
-    """2 * Phi(u), twice the Gaussian CDF."""
-    return 1.0 + erf(u / math.sqrt(2.0))
+# GELU kernel: 2 * Phi(u) = 1 + sign(u) * (1 - erfc(|u| / sqrt 2)), with
+# erfc(z) = t * exp(-z*z + P(2t - 1)) and t = 2 / (2 + z). The kernel works
+# with Phi itself, the same formula halved.
+
+# Printed by tools/fit_erfc.py: P(x) = sum_j a[j] x^j, the Chebyshev fit
+# truncated for each dtype and written in the power basis.
+_ERFC_POLY_FLOAT32 = (
+    -0.671794076054334,
+    0.6726422171554881,
+    0.04734310629089826,
+    -0.04687488817886476,
+    -0.009873768747319895,
+    0.008703812035230898,
+    0.001776564634994047,
+    -0.0020487347605130904,
+    -0.0002079091205868628,
+    0.0003337358939164354,
+)
+_ERFC_POLY_FLOAT64 = (
+    -0.67179408405669,
+    0.672643223977822,
+    0.04734330684131619,
+    -0.046895610245702636,
+    -0.009872689339046403,
+    0.008824938934836563,
+    0.0017589330540381987,
+    -0.0023458170355055803,
+    -0.00014624202808531488,
+    0.0006737090247067575,
+    -9.376263973073957e-05,
+    -0.00017442588946048787,
+    7.150187066219844e-05,
+    3.206545092694982e-05,
+    -3.0433224591508434e-05,
+    -4.0622831276593274e-07,
+    8.967101290807689e-06,
+    -2.353032052967996e-06,
+    -1.7235125842063326e-06,
+    8.549695948434355e-07,
+    1.641910998273488e-07,
+    -1.1818453660161765e-07,
+)
+
+# Elements per block: the four scratch rows stay in cache, and no temporary
+# grows with the batch (at (64, 98, 256) float32 each would be a fresh 6.4 MB
+# mmap, slower than the arithmetic it holds).
+_GELU_CHUNK = 1 << 15
+
+
+def _normal_cdf(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Phi(u) for a 1-d block u, returned in rows[3].
+
+    rows is a (4, len(u)) array of u's dtype; every step writes into a row
+    in place (out=), and rows[0..2] are free again on return. float32 uses
+    the 10-term P, other dtypes the 22-term one.
+    """
+    poly = _ERFC_POLY_FLOAT32 if u.dtype == np.float32 else _ERFC_POLY_FLOAT64
+    z, s, x, acc = rows
+    # z = |u| / sqrt 2, s = 2 + z and x = 2t - 1 = 4 / s - 1
+    np.multiply(u, 1.0 / math.sqrt(2.0), out=z)
+    np.absolute(z, out=z)
+    np.add(z, 2.0, out=s)
+    np.divide(4.0, s, out=x)
+    x -= 1.0
+    # P(x) by Horner's rule, then P(x) - z^2
+    np.multiply(x, poly[-1], out=acc)
+    acc += poly[-2]
+    for a in poly[-3::-1]:
+        acc *= x
+        acc += a
+    np.multiply(z, z, out=x)
+    acc -= x
+    # erfc(z) / 2 = t / 2 * exp(P(x) - z^2) = exp(P(x) - z^2) / s
+    np.exp(acc, out=acc)
+    acc /= s
+    # Phi(u) = 1/2 + sign(u) * (1/2 - erfc(z) / 2)
+    np.subtract(0.5, acc, out=acc)
+    np.copysign(acc, u, out=acc)
+    acc += 0.5
+    return acc
+
+
+def _gelu(u: np.ndarray, with_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """GELU of u and, with_grad, its derivative, block by block over u's elements."""
+    u = np.asarray(u)
+    dtype = np.promote_types(u.dtype, np.float32)
+    src = np.ascontiguousarray(u, dtype=dtype).reshape(-1)
+    out = np.empty(u.shape, dtype)
+    grad = np.empty(u.shape, dtype) if with_grad else None
+    flat_out = out.reshape(-1)
+    flat_grad = None if grad is None else grad.reshape(-1)
+    scratch = np.empty((4, min(src.size, _GELU_CHUNK)), dtype)
+    for start in range(0, src.size, _GELU_CHUNK):
+        block = slice(start, start + _GELU_CHUNK)
+        x = src[block]
+        rows = scratch[:, : x.size]
+        cdf = _normal_cdf(x, rows)
+        if flat_grad is not None:
+            # Phi(u) + u phi(u), with its own exp: the GELU bits do not depend on it
+            pdf = rows[0]
+            np.multiply(x, x, out=pdf)
+            pdf *= -0.5
+            np.exp(pdf, out=pdf)
+            pdf *= 1.0 / math.sqrt(2.0 * math.pi)
+            pdf *= x
+            np.add(cdf, pdf, out=flat_grad[block])
+        np.multiply(x, cdf, out=flat_out[block])
+    return out, grad
 
 
 def gelu(u: np.ndarray) -> np.ndarray:
-    """Exact GELU, u * Phi(u) with the Gaussian CDF via erf."""
-    return 0.5 * u * _one_plus_erf(u)
+    """Exact GELU, u * Phi(u) with the Gaussian CDF Phi."""
+    return _gelu(u, False)[0]
 
 
 def gelu_with_grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU and its derivative Phi(u) + u * phi(u), from one erf call.
+    """GELU and its derivative Phi(u) + u * phi(u), from one Phi evaluation.
 
     The first result has the same bits as gelu(u).
     """
-    phi2 = _one_plus_erf(u)
-    pdf = np.exp(-0.5 * u * u) * (1.0 / math.sqrt(2.0 * math.pi))
-    return 0.5 * u * phi2, 0.5 * phi2 + u * pdf
+    return _gelu(u, True)
 
 
 def layer_norm(

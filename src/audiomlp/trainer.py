@@ -8,12 +8,13 @@ branches are scaled by 1 / survival so inference needs no rescaling.
 This module holds the loss, the backward pass and the optimizer. The
 backward pass is written out analytically layer by layer; there is no
 autodiff anywhere in the package. It reads the GELU derivative that the
-forward pass computed from the same erf, recomputes each block's two
-norm outputs from the cached xhat (the same bits, without keeping them),
-and forms every weight gradient as one matrix product over the batch's
-flattened (B * frames) rows. Gradients live in a plain dict keyed by
-the same tensor names the weights use, which is also what the AdamW
-update and the optimizer state files consume.
+forward pass computed along with GELU itself (encoder.gelu_with_grad),
+recomputes each block's two norm outputs from the cached xhat (the same
+bits, without keeping them), and forms every weight gradient as one
+matrix product over the batch's flattened (B * frames) rows. Gradients
+live in a plain dict keyed by the same tensor names the weights use,
+which is also what the AdamW update and the optimizer state files
+consume.
 """
 
 from __future__ import annotations

@@ -1,16 +1,25 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from audiomlp import encoder
 from audiomlp.encoder import (
+    _GELU_CHUNK,
     EncoderConfig,
     EncoderWeights,
+    _normal_cdf,
     block_forward,
     extract_timestamps,
     gelu,
+    gelu_with_grad,
     init_weights,
     layer_norm,
     patch_embed,
@@ -19,6 +28,12 @@ from audiomlp.encoder import (
 )
 
 TOY = EncoderConfig(n_mfcc=4, n_frames=6, dim=4, hidden_dim=8, depth=2, n_classes=3)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def cdf_one_block(u: np.ndarray) -> np.ndarray:
+    """The kernel's Phi(u) for a 1-d array, evaluated as a single block."""
+    return _normal_cdf(u, np.empty((4, u.size), u.dtype))
 
 
 class TestConfig:
@@ -131,6 +146,88 @@ class TestPrimitives:
         np.testing.assert_array_equal(
             patch_embed(feats, tensors), [[11.0, 22.0], [13.0, 24.0]]
         )
+
+
+class TestGeluKernel:
+    @pytest.mark.parametrize("dtype, bound", [(np.float32, 4.8e-7), (np.float64, 1e-14)])
+    def test_cdf_matches_math_erf(self, dtype, bound):
+        # bounds on the error of 2 * Phi; 4.8e-7 is two float32 ulps at 2
+        u = np.linspace(-12.0, 12.0, 240_001).astype(dtype)
+        exact = np.array([1.0 + math.erf(v / math.sqrt(2.0)) for v in u.tolist()])
+        err = np.abs(2.0 * cdf_one_block(u).astype(np.float64) - exact)
+        assert err.max() <= bound, f"max error {err.max():.3g} at u = {u[err.argmax()]}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "size", [0, 1, _GELU_CHUNK - 1, _GELU_CHUNK, _GELU_CHUNK + 1, 3 * _GELU_CHUNK + 7]
+    )
+    def test_blocks_do_not_change_bits(self, size, dtype):
+        u = (3.0 * np.random.default_rng(size).standard_normal(size)).astype(dtype)
+        value, grad = gelu_with_grad(u)
+        assert value.dtype == grad.dtype == dtype and value.shape == grad.shape == (size,)
+        assert gelu(u).tobytes() == value.tobytes()
+        assert value.tobytes() == (u * cdf_one_block(u)).tobytes()
+
+    def test_non_contiguous_and_0d_inputs(self):
+        grid = np.random.default_rng(4).standard_normal((3, 2 * _GELU_CHUNK // 3 + 5))
+        view = grid.astype(np.float32)[:, ::2]
+        value, grad = gelu_with_grad(view)
+        assert value.shape == grad.shape == view.shape
+        assert gelu(view).tobytes() == value.tobytes()
+        assert value.tobytes() == gelu(np.ascontiguousarray(view)).tobytes()
+        scalar = np.array(-0.75)
+        value, grad = gelu_with_grad(scalar)
+        assert value.shape == grad.shape == ()
+        assert gelu(scalar).tobytes() == value.tobytes() == gelu(scalar[None]).tobytes()
+
+    @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-8)])
+    def test_derivative_matches_central_differences(self, dtype, atol):
+        u = np.linspace(-8.0, 8.0, 4001).astype(dtype)
+        h = 1e-6
+        u64 = u.astype(np.float64)
+        fd = (gelu(u64 + h) - gelu(u64 - h)) / (2 * h)
+        np.testing.assert_allclose(gelu_with_grad(u)[1], fd, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_inputs(self, dtype):
+        # as with an exact erf: inf * Phi(inf), -inf * 0 and inf * phi(inf)
+        u = np.array([np.inf, -np.inf, np.nan], dtype)
+        with np.errstate(invalid="ignore"):
+            value, grad = gelu_with_grad(u)
+            np.testing.assert_array_equal(gelu(u), [np.inf, np.nan, np.nan])
+        np.testing.assert_array_equal(value, [np.inf, np.nan, np.nan])
+        np.testing.assert_array_equal(grad, [np.nan, np.nan, np.nan])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_inputs_raise_no_warning(self, dtype):
+        u = np.concatenate([np.linspace(-1e4, 1e4, 20_001), [-1e4, 1e4, 0.0, -0.0]]).astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gelu(u)
+            gelu_with_grad(u)
+
+    def test_peak_memory_is_outputs_plus_one_block(self):
+        """Peaks 1.08x (gelu) and 2.08x (with grad) of the input bytes.
+
+        A whole-array evaluation with temporaries peaked at 3.0x and 5.0x.
+        """
+        u = np.random.default_rng(5).standard_normal((64, 98, 256)).astype(np.float32)
+        for fn, limit in ((gelu, 1.25), (gelu_with_grad, 2.25)):
+            tracemalloc.start()
+            try:
+                fn(u)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit * u.nbytes, f"{fn.__name__}: {peak / u.nbytes:.2f}x input"
+
+    def test_committed_tables_are_the_fit_output(self):
+        fitted = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "fit_erfc.py")],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert "_ERFC_POLY_FLOAT32 = (" in fitted and "_ERFC_POLY_FLOAT64 = (" in fitted
+        assert fitted in Path(encoder.__file__).read_text()
 
 
 class TestBlockIdentities:

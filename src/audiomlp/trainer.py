@@ -11,10 +11,21 @@ autodiff anywhere in the package. It reads the GELU derivative that the
 forward pass computed along with GELU itself (encoder.gelu_with_grad),
 recomputes each block's two norm outputs from the cached xhat (the same
 bits, without keeping them), and forms every weight gradient as one
-matrix product over the batch's flattened (B * frames) rows. Gradients
+matrix product over a batch's flattened (B * frames) rows. Gradients
 live in a plain dict keyed by the same tensor names the weights use,
 which is also what the AdamW update and the optimizer state files
 consume.
+
+A step runs in micro-batches of _MICRO_BATCH examples. loss_and_grads
+draws every block's stochastic-depth decisions for the whole batch first,
+then runs forward, loss and backward on one slice at a time and adds the
+slices' weight gradients together. Examples never interact (layer norm
+works per frame, pooling per example), so the loss and the random stream
+are those of one pass over the whole batch, and only the float summation
+order of the gradients differs. Only one slice's cache is alive at a
+time, so a step's memory does not grow with the batch size, and a
+slice's activations stay in the CPU cache. predict runs in the same
+micro-batches.
 """
 
 from __future__ import annotations
@@ -33,6 +44,12 @@ ADAM_EPS = 1e-8
 # tensors that receive decoupled weight decay: the projection matrices.
 # Biases and norm parameters are left undecayed.
 _DECAYED_LEAVES = frozenset({"P0", "U", "G", "V", "W"})
+
+# Examples per forward/backward pass in loss_and_grads and predict. In the
+# depth-12, batch-64 training benchmark (one BLAS thread, 2-CPU host), 2, 4
+# and 8 ran at 39.9, 40.7 and 40.3 audio-s/s, equal within noise, and
+# peaked at 65, 74 and 88 MB RSS; 4 makes half the numpy calls of 2.
+_MICRO_BATCH = 4
 
 
 class TrainingDivergedError(ValueError):
@@ -98,22 +115,33 @@ def augment(features: np.ndarray, rng: np.random.Generator, config: TrainConfig)
     return out
 
 
-def smoothed_cross_entropy(
+def _cross_entropy_terms(
     logits: np.ndarray, labels: np.ndarray, smoothing: float
-) -> tuple[float, np.ndarray]:
-    """Mean label-smoothed cross entropy and its gradient w.r.t. logits.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per example, sum(target * log softmax) and softmax - target.
 
     The target distribution puts 1 - smoothing + smoothing/K on the true
-    class and smoothing/K elsewhere; the gradient is (softmax - target)/B.
+    class and smoothing/K elsewhere. Every row depends on its own logits
+    only.
     """
     n, k = logits.shape
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     target = np.full((n, k), smoothing / k, dtype=logits.dtype)
     target[np.arange(n), labels] += 1.0 - smoothing
-    loss = float(-(target * log_probs).sum(axis=1).mean())
-    dlogits = (np.exp(log_probs) - target) / n
-    return loss, dlogits
+    return (target * log_probs).sum(axis=1), np.exp(log_probs) - target
+
+
+def smoothed_cross_entropy(
+    logits: np.ndarray, labels: np.ndarray, smoothing: float
+) -> tuple[float, np.ndarray]:
+    """Mean label-smoothed cross entropy and its gradient w.r.t. logits.
+
+    The gradient is (softmax - target) / B; see _cross_entropy_terms for
+    the target.
+    """
+    rows, residual = _cross_entropy_terms(logits, labels, smoothing)
+    return float(-rows.mean()), residual / len(logits)
 
 
 def _layer_norm_bwd(dy, xhat, istd, scale):
@@ -141,32 +169,52 @@ def _check_features(features: np.ndarray, cfg: EncoderConfig) -> None:
         )
 
 
+def _branch_scales(
+    features: np.ndarray,
+    weights: EncoderWeights,
+    survival: float,
+    rng: np.random.Generator | None,
+) -> list[np.ndarray] | None:
+    """Per-block (B,) stochastic-depth factors for a batch, keep / survival.
+
+    Block 0 first, one rng.random(B) per block; this is the only rng
+    consumption of a training step. With survival 1 nothing is drawn and
+    the result is None.
+    """
+    if survival >= 1.0:
+        return None
+    if rng is None:
+        raise ValueError("stochastic depth needs an rng")
+    t = weights.tensors
+    dtype = np.result_type(features, t["P0"], t["P0.bias"])
+    return [
+        ((rng.random(len(features)) < survival) / survival).astype(dtype)
+        for _ in range(weights.config.depth)
+    ]
+
+
 def forward_batch(
     features: np.ndarray,
     weights: EncoderWeights,
     *,
     survival: float = 1.0,
     rng: np.random.Generator | None = None,
+    scales: list[np.ndarray] | None = None,
 ):
     """Batched classifier forward pass.
 
     features is (B, n_mfcc, n_frames). Returns (logits, cache); the cache
-    holds every intermediate loss_and_grads needs. With survival < 1 each
-    block draws one keep decision per example, block 0 first (this is the
-    only rng consumption); with survival 1 no randomness is used.
+    holds every intermediate the backward pass needs. With survival < 1
+    each block draws one keep decision per example (_branch_scales); with
+    survival 1 no randomness is used. Given scales, block i's branch is
+    multiplied by scales[i] and nothing is drawn: loss_and_grads draws
+    once for the whole batch and passes each micro-batch its slice.
     """
     cfg = weights.config
     t = weights.tensors
     _check_features(features, cfg)
-    scales = None
-    if survival < 1.0:
-        if rng is None:
-            raise ValueError("stochastic depth needs an rng")
-        dtype = np.result_type(features, t["P0"], t["P0.bias"])
-        scales = [
-            ((rng.random(len(features)) < survival) / survival).astype(dtype)
-            for _ in range(cfg.depth)
-        ]
+    if scales is None:
+        scales = _branch_scales(features, weights, survival, rng)
     cache: dict = {}
     ts = encode(features, t, cfg.depth, scales=scales, cache=cache)
     cache["pooled"] = ts.mean(axis=1)
@@ -174,21 +222,17 @@ def forward_batch(
     return logits, cache
 
 
-def loss_and_grads(
-    features: np.ndarray,
-    labels: np.ndarray,
-    weights: EncoderWeights,
-    *,
-    label_smoothing: float = 0.0,
-    survival: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean batch loss and analytic gradients for every tensor."""
+def _backward(
+    features: np.ndarray, cache: dict, dlogits: np.ndarray, weights: EncoderWeights
+) -> dict[str, np.ndarray]:
+    """Gradients of every tensor, from forward_batch's cache and dlogits.
+
+    Consumes the cache: each block's entry is removed from it once that
+    block's gradients are formed, so the cache shrinks as the gradients
+    grow.
+    """
     cfg = weights.config
     t = weights.tensors
-    logits, cache = forward_batch(features, weights, survival=survival, rng=rng)
-    loss, dlogits = smoothed_cross_entropy(logits, labels, label_smoothing)
-
     grads: dict[str, np.ndarray] = {}
     grads["head.W"] = cache["pooled"].T @ dlogits
     grads["head.bias"] = dlogits.sum(axis=0)
@@ -200,7 +244,7 @@ def loss_and_grads(
     )
     for i in reversed(range(cfg.depth)):
         p = f"block.{i}."
-        bc = cache["blocks"][i]
+        bc = cache["blocks"].pop()  # block i's; dropped once its gradients are formed
         dout = dx
         dbranch = dout if bc["scale"] is None else dout * bc["scale"][:, None, None]
         grads[p + "V"] = _flat(bc["gated"]).T @ _flat(dbranch)
@@ -227,7 +271,45 @@ def loss_and_grads(
         dx = dout + dxpre
     grads["P0"] = _flat(np.swapaxes(features, 1, 2)).T @ _flat(dx)
     grads["P0.bias"] = dx.sum(axis=(0, 1))
-    return loss, grads
+    return grads
+
+
+def loss_and_grads(
+    features: np.ndarray,
+    labels: np.ndarray,
+    weights: EncoderWeights,
+    *,
+    label_smoothing: float = 0.0,
+    survival: float = 1.0,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean batch loss and analytic gradients for every tensor.
+
+    The stochastic-depth factors are drawn for the whole batch first, as
+    forward_batch would draw them. Forward, loss rows and backward then run
+    on _MICRO_BATCH examples at a time; each slice's cache is dropped
+    before the next forward, and its gradients are added into the totals.
+    dlogits is divided by the whole batch's size.
+    """
+    _check_features(features, weights.config)
+    n = len(features)
+    scales = _branch_scales(features, weights, survival, rng)
+    rows = []
+    grads: dict[str, np.ndarray] = {}
+    for lo in range(0, n, _MICRO_BATCH):
+        part = slice(lo, lo + _MICRO_BATCH)
+        logits, cache = forward_batch(
+            features[part], weights, scales=None if scales is None else [s[part] for s in scales]
+        )
+        row, residual = _cross_entropy_terms(logits, labels[part], label_smoothing)
+        rows.append(row)
+        for name, grad in _backward(features[part], cache, residual / n, weights).items():
+            if name in grads:
+                grads[name] += grad
+            else:
+                grads[name] = grad
+        del cache
+    return float(-np.concatenate(rows).mean()), grads
 
 
 def matrix_params(name: str) -> bool:
@@ -361,8 +443,8 @@ def train(
     return result
 
 
-def predict(features: np.ndarray, weights: EncoderWeights, batch_size: int = 256) -> np.ndarray:
-    """Argmax class per example, batched inference (no stochastic depth).
+def predict(features: np.ndarray, weights: EncoderWeights) -> np.ndarray:
+    """Argmax class per example, in micro-batches (no stochastic depth).
 
     The logits are forward_batch's, but encode runs without a cache, so no
     backward intermediates are kept.
@@ -370,8 +452,8 @@ def predict(features: np.ndarray, weights: EncoderWeights, batch_size: int = 256
     cfg = weights.config
     t = weights.tensors
     out = []
-    for lo in range(0, len(features), batch_size):
-        batch = features[lo : lo + batch_size]
+    for lo in range(0, len(features), _MICRO_BATCH):
+        batch = features[lo : lo + _MICRO_BATCH]
         _check_features(batch, cfg)
         logits = encode(batch, t, cfg.depth).mean(axis=1) @ t["head.W"] + t["head.bias"]
         out.append(np.argmax(logits, axis=1))

@@ -199,10 +199,6 @@ _ERFC_POLY_FLOAT64 = (
 # mmap, slower than the arithmetic it holds).
 _GELU_CHUNK = 1 << 15
 
-# The sign bit of each float dtype, as its same-width unsigned integer.
-# numpy's float32 copysign has no SIMD loop; bitwise ops on these views do.
-_SIGN_BIT = {np.dtype(np.float32): np.uint32(1 << 31), np.dtype(np.float64): np.uint64(1 << 63)}
-
 
 def _normal_cdf(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Phi(u) for a 1-d block u, returned in rows[3].
@@ -232,17 +228,7 @@ def _normal_cdf(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     acc /= s
     # Phi(u) = 1/2 + sign(u) * (1/2 - erfc(z) / 2)
     np.subtract(0.5, acc, out=acc)
-    sign_bit = _SIGN_BIT.get(u.dtype)
-    if sign_bit is None:
-        np.copysign(acc, u, out=acc)
-    else:
-        # copysign in unsigned views, where numpy has SIMD loops: clear the
-        # magnitude's sign bit (in float32 it rounds to -1.2e-7 for
-        # |u| < 1.7e-7), then OR in u's
-        bits, sign = acc.view(sign_bit.dtype), z.view(sign_bit.dtype)
-        np.bitwise_and(u.view(sign_bit.dtype), sign_bit, out=sign)
-        np.bitwise_and(bits, ~sign_bit, out=bits)
-        bits |= sign
+    np.copysign(acc, u, out=acc)
     acc += 0.5
     return acc
 

@@ -197,24 +197,20 @@ def forward_batch(
     features: np.ndarray,
     weights: EncoderWeights,
     *,
-    survival: float = 1.0,
-    rng: np.random.Generator | None = None,
     scales: list[np.ndarray] | None = None,
 ):
     """Batched classifier forward pass.
 
     features is (B, n_mfcc, n_frames). Returns (logits, cache); the cache
-    holds every intermediate the backward pass needs. With survival < 1
-    each block draws one keep decision per example (_branch_scales); with
-    survival 1 no randomness is used. Given scales, block i's branch is
-    multiplied by scales[i] and nothing is drawn: loss_and_grads draws
-    once for the whole batch and passes each micro-batch its slice.
+    holds every intermediate the backward pass needs. Given scales (from
+    _branch_scales), block i's branch is multiplied by scales[i], its
+    stochastic-depth factor per example; without, every branch is kept.
+    Nothing is drawn here: loss_and_grads draws once for the whole batch
+    and passes each micro-batch its slice.
     """
     cfg = weights.config
     t = weights.tensors
     _check_features(features, cfg)
-    if scales is None:
-        scales = _branch_scales(features, weights, survival, rng)
     cache: dict = {}
     ts = encode(features, t, cfg.depth, scales=scales, cache=cache)
     cache["pooled"] = ts.mean(axis=1)
@@ -285,14 +281,18 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean batch loss and analytic gradients for every tensor.
 
-    The stochastic-depth factors are drawn for the whole batch first, as
-    forward_batch would draw them. Forward, loss rows and backward then run
-    on _MICRO_BATCH examples at a time; each slice's cache is dropped
-    before the next forward, and its gradients are added into the totals.
+    The stochastic-depth factors are drawn for the whole batch first
+    (_branch_scales). Forward, loss rows and backward then run on
+    _MICRO_BATCH examples at a time; each slice's cache is dropped before
+    the next forward, and its gradients are added into the totals.
     dlogits is divided by the whole batch's size.
     """
     _check_features(features, weights.config)
     n = len(features)
+    if n == 0:
+        raise ValueError("empty batch")
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} examples")
     scales = _branch_scales(features, weights, survival, rng)
     rows = []
     grads: dict[str, np.ndarray] = {}

@@ -158,19 +158,6 @@ class TestGeluKernel:
         assert err.max() <= bound, f"max error {err.max():.3g} at u = {u[err.argmax()]}"
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sign_step_matches_copysign(self, dtype, monkeypatch):
-        # in float32 the magnitude term rounds to -1.2e-7 for |u| < 1.7e-7,
-        # so setting u's sign bit without clearing it first would put Phi
-        # below 1/2 there
-        tiny = np.geomspace(1e-30, 1e-3, 1001)
-        normal = 3.0 * np.random.default_rng(6).standard_normal(10_000)
-        u = np.concatenate([normal, tiny, -tiny, [0.0, -0.0]]).astype(dtype)
-        got = cdf_one_block(u)
-        monkeypatch.setattr(encoder, "_SIGN_BIT", {})  # the np.copysign path
-        assert got.tobytes() == cdf_one_block(u).tobytes()
-        assert np.all(got[u > 0] >= 0.5) and np.all(got[u < 0] <= 0.5)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "size", [0, 1, _GELU_CHUNK - 1, _GELU_CHUNK, _GELU_CHUNK + 1, 3 * _GELU_CHUNK + 7]
     )

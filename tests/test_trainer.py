@@ -20,6 +20,7 @@ from audiomlp.trainer import (
     StepRecord,
     TrainConfig,
     TrainingDivergedError,
+    _branch_scales,
     _layer_norm_bwd,
     adamw_update,
     augment,
@@ -258,17 +259,20 @@ class TestForwardBatch:
         w = init_weights(TOY)
         feats = np.ones((2, 4, 6), dtype=np.float32)
         with pytest.raises(ValueError):
-            forward_batch(feats, w, survival=0.9)
+            _branch_scales(feats, w, 0.9, None)
+        with pytest.raises(ValueError):
+            loss_and_grads(feats, np.array([0, 1]), w, survival=0.9)
 
     def test_survival_one_draws_nothing(self):
         w = init_weights(TOY, seed=3)
         feats = np.random.default_rng(17).standard_normal((3, 4, 6)).astype(np.float32)
         rng = np.random.default_rng(0)
-        logits, _ = forward_batch(feats, w, survival=1.0, rng=rng)
+        assert _branch_scales(feats, w, 1.0, rng) is None
+        loss, _ = loss_and_grads(feats, np.array([0, 1, 2]), w, survival=1.0, rng=rng)
         # generator untouched: next draw equals a fresh generator's first draw
         assert rng.random() == np.random.default_rng(0).random()
         plain, _ = forward_batch(feats, w)
-        np.testing.assert_array_equal(logits, plain)
+        assert loss == smoothed_cross_entropy(plain, np.array([0, 1, 2]), 0.0)[0]
 
     def test_stochastic_depth_matches_manual_replay(self):
         cfg = EncoderConfig(n_mfcc=3, n_frames=4, dim=4, hidden_dim=8, depth=1, n_classes=2)
@@ -276,7 +280,8 @@ class TestForwardBatch:
         t = w.tensors
         feats = np.random.default_rng(18).standard_normal((6, 3, 4))
         survival = 0.7
-        logits, _ = forward_batch(feats, w, survival=survival, rng=np.random.default_rng(99))
+        scales = _branch_scales(feats, w, survival, np.random.default_rng(99))
+        logits, _ = forward_batch(feats, w, scales=scales)
         keep = np.random.default_rng(99).random(6) < survival
         assert 0 < keep.sum() < 6  # the seed exercises both branches
         x = feats.transpose(0, 2, 1) @ t["P0"] + t["P0.bias"]
@@ -290,6 +295,14 @@ class TestForwardBatch:
 
 
 class TestGradients:
+    def test_rejects_mismatched_labels_and_empty_batch(self):
+        w = init_weights(TOY)
+        feats = np.ones((3, 4, 6), dtype=np.float32)
+        with pytest.raises(ValueError, match="4 labels for 3 examples"):
+            loss_and_grads(feats, np.array([0, 1, 2, 0]), w)
+        with pytest.raises(ValueError, match="empty batch"):
+            loss_and_grads(feats[:0], np.array([], dtype=int), w)
+
     def test_analytic_matches_finite_differences_everywhere(self):
         rng = np.random.default_rng(19)
         toy = EncoderConfig(n_mfcc=4, n_frames=6, dim=4, hidden_dim=8, depth=2, n_classes=3)
@@ -370,7 +383,8 @@ class TestGradients:
         for _ in range(depth):
             fresh.random(n)
         assert g.bit_generator.state == fresh.bit_generator.state
-        logits, _ = forward_batch(feats, w, survival=0.9, rng=np.random.default_rng(4))
+        scales = _branch_scales(feats, w, 0.9, np.random.default_rng(4))
+        logits, _ = forward_batch(feats, w, scales=scales)
         assert loss == smoothed_cross_entropy(logits, labels, 0.1)[0]
 
     def test_dropped_branch_gets_zero_branch_gradients(self):
@@ -427,7 +441,8 @@ def test_block_cache_holds_only_what_the_backward_pass_reads():
     """
     w = init_weights(EncoderConfig(depth=2), seed=0)
     feats = np.random.default_rng(24).standard_normal((4, 40, 98)).astype(np.float32)
-    _, cache = forward_batch(feats, w, survival=0.9, rng=np.random.default_rng(0))
+    scales = _branch_scales(feats, w, 0.9, np.random.default_rng(0))
+    _, cache = forward_batch(feats, w, scales=scales)
     assert set(cache) == {"blocks", "xhat_f", "istd_f", "pooled"}
     for bc in cache["blocks"]:
         assert set(bc) == {

@@ -6,11 +6,12 @@ embeddings), inspect (summarize a weights file), interp-demo (image
 downsampling comparison of the two interpolation strategies).
 
 Exit codes: 0 success, 1 usage errors (bad flags, depth beyond the
-model, an unwritable --output, a train --output ending in .opt1 or .csv)
-and training runs whose loss diverges, 2 unreadable, malformed or
-non-finite weight files, 3 unreadable or undecodable audio, 4 manifest
-problems, 5 probe data problems (embeddings/labels that do not line up,
-or fewer than two classes).
+model, an unwritable --output or interp-demo --output-dir, a train
+--output ending in .opt1 or .csv) and training runs whose loss diverges,
+2 unreadable, malformed or non-finite weight files, 3 unreadable or
+undecodable audio, 4 manifest problems, 5 probe data problems
+(embeddings holding NaN or infinite values, embeddings/labels that do
+not line up, or fewer than two classes).
 Every command prints a single JSON line with its results.
 """
 
@@ -311,9 +312,15 @@ def cmd_interp_demo(args) -> int:
     direct = linear_interp_time(linear_interp_time(image, target).T, target).T
     iterative = reduce_iterative(reduce_iterative(image, target).T, target).T
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for mode, array in (("direct", direct), ("iterative", iterative)):
-        write_pgm(out_dir / f"{mode}.pgm", np.round(np.clip(array, 0.0, 255.0)).astype(np.uint8))
+    images = (("direct", direct), ("iterative", iterative))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for mode, array in images:
+            pixels = np.round(np.clip(array, 0.0, 255.0)).astype(np.uint8)
+            write_pgm(out_dir / f"{mode}.pgm", pixels)
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write {out_dir}: {exc}")
+    for mode, array in images:
         print(
             json.dumps(
                 {

@@ -18,12 +18,17 @@ with its derivative from the same Gaussian CDF evaluation) and layer
 norm are defined here once and shared with the trainer and the probes.
 
 GELU is exact, u * Phi(u) (Hendrycks & Gimpel, arXiv 1606.08415). Phi
-comes from a numpy kernel: erfc(z) = t * exp(-z*z + P(2t - 1)) with
-t = 2 / (2 + z) and P a Chebyshev series fitted by tools/fit_erfc.py,
-truncated to 10 terms for float32 and 22 for float64 and evaluated by
-Horner's rule. It runs over the flattened input in blocks of _GELU_CHUNK
-elements, every step in place in four reused scratch rows, so its memory
-beyond the outputs does not grow with the batch.
+comes from a numpy kernel in one of two forms, picked by dtype, with
+coefficients fitted by tools/fit_erfc.py and evaluated by Horner's rule.
+float32 computes Phi(u) = 1/2 + 1/2 * tanh(u * Q(min(u*u, 36))) with a
+7-term polynomial Q, through numpy's SIMD float32 tanh. float64, the
+dtype of the gradient checks, computes erfc(z) = t * exp(-z*z + P(2t - 1))
+with t = 2 / (2 + z) and P a 22-term Chebyshev series. The kernel runs
+over the flattened input in blocks of _GELU_CHUNK elements, every step in
+place in four reused scratch rows, so its memory beyond the outputs does
+not grow with the batch. Layer norm takes its row means as np.mean does
+(a pairwise sum, then a division) but without np.mean's Python wrapper,
+and works in place, with the same bits.
 
 Weights live in a flat dict of named float32 arrays. The names double as
 the on-disk tensor names, the optimizer state keys and the gradient keys,
@@ -151,24 +156,9 @@ def init_weights(config: EncoderConfig | None = None, seed: int = 0) -> EncoderW
     return EncoderWeights(config, tensors)
 
 
-# GELU kernel: 2 * Phi(u) = 1 + sign(u) * (1 - erfc(|u| / sqrt 2)), with
-# erfc(z) = t * exp(-z*z + P(2t - 1)) and t = 2 / (2 + z). The kernel works
-# with Phi itself, the same formula halved.
-
-# Printed by tools/fit_erfc.py: P(x) = sum_j a[j] x^j, the Chebyshev fit
-# truncated for each dtype and written in the power basis.
-_ERFC_POLY_FLOAT32 = (
-    -0.671794076054334,
-    0.6726422171554881,
-    0.04734310629089826,
-    -0.04687488817886476,
-    -0.009873768747319895,
-    0.008703812035230898,
-    0.001776564634994047,
-    -0.0020487347605130904,
-    -0.0002079091205868628,
-    0.0003337358939164354,
-)
+# Printed by tools/fit_erfc.py. float64: P(x) = sum_j a[j] x^j, the
+# Chebyshev fit of the erfc form written in the power basis. float32:
+# Q(s) = sum_j b[j] s^j of the tanh form, s = min(u*u, 36).
 _ERFC_POLY_FLOAT64 = (
     -0.67179408405669,
     0.672643223977822,
@@ -193,6 +183,16 @@ _ERFC_POLY_FLOAT64 = (
     1.641910998273488e-07,
     -1.1818453660161765e-07,
 )
+# Largest error in 2 * Phi of the tanh form, |u| <= 12: 5.8e-08
+_TANH_POLY_FLOAT32 = (
+    0.7978849417012193,
+    0.036333083332375594,
+    -3.2593393392768804e-05,
+    -5.5306953665936275e-05,
+    3.9649025087146876e-06,
+    -1.322775523327175e-07,
+    1.7566170553030454e-09,
+)
 
 # Elements per block: the four scratch rows stay in cache, and no temporary
 # grows with the batch (at (64, 98, 256) float32 each would be a fresh 6.4 MB
@@ -200,27 +200,42 @@ _ERFC_POLY_FLOAT64 = (
 _GELU_CHUNK = 1 << 15
 
 
+def _horner(x: np.ndarray, poly: tuple[float, ...], acc: np.ndarray) -> None:
+    """acc = sum_j poly[j] x^j, in place."""
+    np.multiply(x, poly[-1], out=acc)
+    acc += poly[-2]
+    for a in poly[-3::-1]:
+        acc *= x
+        acc += a
+
+
 def _normal_cdf(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Phi(u) for a 1-d block u, returned in rows[3].
 
     rows is a (4, len(u)) array of u's dtype; every step writes into a row
     in place (out=), and rows[0..2] are free again on return. float32 uses
-    the 10-term P, other dtypes the 22-term one.
+    the tanh form, other dtypes the erfc form.
     """
-    poly = _ERFC_POLY_FLOAT32 if u.dtype == np.float32 else _ERFC_POLY_FLOAT64
     z, s, x, acc = rows
+    if u.dtype == np.float32:
+        # Phi(u) = 1/2 + 1/2 tanh(u Q(s)), s = min(u^2, 36), Q fitted to
+        # atanh(erf(u / sqrt 2)) / u. Past |u| = 6, |u Q(36)| > 10: Phi is 0 or 1
+        np.multiply(u, u, out=s)
+        np.minimum(s, 36.0, out=s)
+        _horner(s, _TANH_POLY_FLOAT32, acc)
+        acc *= u
+        np.tanh(acc, out=acc)
+        acc *= 0.5
+        acc += 0.5
+        return acc
     # z = |u| / sqrt 2, s = 2 + z and x = 2t - 1 = 4 / s - 1
     np.multiply(u, 1.0 / math.sqrt(2.0), out=z)
     np.absolute(z, out=z)
     np.add(z, 2.0, out=s)
     np.divide(4.0, s, out=x)
     x -= 1.0
-    # P(x) by Horner's rule, then P(x) - z^2
-    np.multiply(x, poly[-1], out=acc)
-    acc += poly[-2]
-    for a in poly[-3::-1]:
-        acc *= x
-        acc += a
+    # P(x) - z^2
+    _horner(x, _ERFC_POLY_FLOAT64, acc)
     np.multiply(z, z, out=x)
     acc -= x
     # erfc(z) / 2 = t / 2 * exp(P(x) - z^2) = exp(P(x) - z^2) / s
@@ -282,11 +297,18 @@ def layer_norm(
     With a cache dict, the normalized input and the inverse standard
     deviation are stored under "xhat" + key and "istd" + key.
     """
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    istd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * istd
+    n = x.shape[-1]
+    # np.mean's float steps (a pairwise row sum, then / n) without its
+    # Python wrapper, and the rest in place: the same bits
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= n
+    xhat = x - mean
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= n
+    var += LN_EPS
+    istd = np.sqrt(var, out=var)
+    np.divide(1.0, istd, out=istd)
+    xhat *= istd
     if cache is not None:
         cache["xhat" + key], cache["istd" + key] = xhat, istd
     return xhat * scale + shift

@@ -10,11 +10,12 @@ backward pass is written out analytically layer by layer; there is no
 autodiff anywhere in the package. It reads the GELU derivative that the
 forward pass computed along with GELU itself (encoder.gelu_with_grad),
 recomputes each block's two norm outputs from the cached xhat (the same
-bits, without keeping them), and forms every weight gradient as one
-matrix product over a batch's flattened (B * frames) rows. Gradients
-live in a plain dict keyed by the same tensor names the weights use,
-which is also what the AdamW update and the optimizer state files
-consume.
+bits, without keeping them), runs the layer-norm backward pass in place
+with its row means taken as encoder.layer_norm takes them, and forms
+every weight gradient as one matrix product over a batch's flattened
+(B * frames) rows. Gradients live in a plain dict keyed by the same
+tensor names the weights use, which is also what the AdamW update and
+the optimizer state files consume.
 
 A step runs in micro-batches of _MICRO_BATCH examples. loss_and_grads
 draws every block's stochastic-depth decisions for the whole batch first,
@@ -145,16 +146,25 @@ def smoothed_cross_entropy(
 
 
 def _layer_norm_bwd(dy, xhat, istd, scale):
+    """dx = istd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = dy * scale.
+
+    The row means are np.mean's float steps (as in encoder.layer_norm) and
+    the rest runs in place in dxhat: the same bits as the expression.
+    """
     reduce_axes = tuple(range(dy.ndim - 1))
+    n = dy.shape[-1]
     dscale = (dy * xhat).sum(axis=reduce_axes)
     dshift = dy.sum(axis=reduce_axes)
     dxhat = dy * scale
-    dx = istd * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    return dx, dscale, dshift
+    prod = dxhat * xhat
+    mean_prod = np.add.reduce(prod, axis=-1, keepdims=True)
+    mean_prod /= n
+    mean = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    mean /= n
+    dxhat -= mean
+    dxhat -= np.multiply(xhat, mean_prod, out=prod)
+    dxhat *= istd
+    return dxhat, dscale, dshift
 
 
 def _flat(x: np.ndarray) -> np.ndarray:

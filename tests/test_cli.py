@@ -442,6 +442,16 @@ class TestProbe:
         labels.write_text("0\n1\n")
         assert main(["probe", "--embeddings", str(tmp_path / "no.emb1"), "--labels", str(labels)]) == 5
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_exit_5(self, tmp_path, capsys, value):
+        emb_path, labels_path = self._write_probe_inputs(tmp_path)
+        emb = load_embeddings(emb_path)
+        emb[7, 2] = value
+        save_embeddings(emb_path, emb)
+        assert main(["probe", "--embeddings", str(emb_path), "--labels", str(labels_path)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "NaN or infinite" in captured.err
+
     def test_non_integer_labels_exit_5(self, tmp_path):
         emb_path, labels_path = self._write_probe_inputs(tmp_path)
         labels_path.write_text("cat\ndog\n")
@@ -481,6 +491,22 @@ class TestInterpDemo:
 
     def test_bad_geometry_exits_1(self, tmp_path):
         assert main(["interp-demo", "--size", "8", "--target", "9", "--output-dir", str(tmp_path)]) == 1
+
+    def test_output_dir_that_is_a_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_bytes(b"a file")
+        argv = ["interp-demo", "--size", "64", "--target", "8", "--output-dir", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"cannot write {out}" in captured.err
+        assert out.read_bytes() == b"a file"
+
+    def test_failed_write_exits_1(self, tmp_path, capsys, disk_full):
+        argv = ["interp-demo", "--size", "64", "--target", "8", "--output-dir", str(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"cannot write {tmp_path}" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParser:

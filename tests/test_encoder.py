@@ -157,6 +157,13 @@ class TestGeluKernel:
         err = np.abs(2.0 * cdf_one_block(u).astype(np.float64) - exact)
         assert err.max() <= bound, f"max error {err.max():.3g} at u = {u[err.argmax()]}"
 
+    def test_float32_cdf_is_monotone_and_saturates(self):
+        u = np.linspace(-12.0, 12.0, 2_400_001).astype(np.float32)
+        cdf = cdf_one_block(u)
+        assert (np.diff(cdf) >= 0).all()
+        assert cdf.min() == 0.0 and cdf.max() == 1.0
+        assert (cdf[u <= -6.0] == 0.0).all() and (cdf[u >= 6.0] == 1.0).all()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "size", [0, 1, _GELU_CHUNK - 1, _GELU_CHUNK, _GELU_CHUNK + 1, 3 * _GELU_CHUNK + 7]
@@ -226,7 +233,7 @@ class TestGeluKernel:
             [sys.executable, str(ROOT / "tools" / "fit_erfc.py")],
             capture_output=True, text=True, check=True,
         ).stdout
-        assert "_ERFC_POLY_FLOAT32 = (" in fitted and "_ERFC_POLY_FLOAT64 = (" in fitted
+        assert "_TANH_POLY_FLOAT32 = (" in fitted and "_ERFC_POLY_FLOAT64 = (" in fitted
         assert fitted in Path(encoder.__file__).read_text()
 
 

@@ -220,6 +220,15 @@ class TestEmbeddingsFile:
         with pytest.raises(FormatError):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        emb = np.ones((6, 8), dtype=np.float32)
+        emb[4, 5] = value
+        path = tmp_path / "e.emb1"
+        save_embeddings(path, emb)
+        with pytest.raises(FormatError, match="NaN or infinite"):
+            load_embeddings(path)
+
     def test_csv_round_trips_float32(self):
         rng = np.random.default_rng(5)
         emb = np.concatenate(

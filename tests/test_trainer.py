@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from audiomlp.encoder import (
+    LN_EPS,
     EncoderConfig,
     block_forward,
     extract_timestamps,
@@ -237,6 +238,67 @@ class TestSmoothedCrossEntropy:
     def test_loss_is_stable_for_huge_logits(self):
         loss, _ = smoothed_cross_entropy(np.array([[1000.0, 0.0]]), np.array([0]), 0.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
+
+
+def _np_mean_layer_norm(x, scale, shift):
+    """Oracle: layer_norm as np.mean expressions, returning (y, xhat, istd)."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    istd = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = centered * istd
+    return xhat * scale + shift, xhat, istd
+
+
+def _np_mean_layer_norm_bwd(dy, xhat, istd, scale):
+    """Oracle: _layer_norm_bwd as np.mean expressions."""
+    reduce_axes = tuple(range(dy.ndim - 1))
+    dxhat = dy * scale
+    dx = istd * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, (dy * xhat).sum(axis=reduce_axes), dy.sum(axis=reduce_axes)
+
+
+class TestLayerNormBits:
+    """layer_norm and _layer_norm_bwd give the np.mean expressions' bits."""
+
+    @staticmethod
+    def _inputs(case, dtype, rng):
+        if case == "contiguous":
+            return (5.0 * rng.standard_normal((98, 64)) + 2.0).astype(dtype)
+        if case == "gate-half":
+            return (3.0 * rng.standard_normal((98, 256))).astype(dtype)[:, 128:]
+        return (7.0 * rng.standard_normal((4, 98, 128)) - 1.0).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["contiguous", "gate-half", "batch"])
+    def test_forward_and_backward_match_np_mean(self, case, dtype):
+        rng = np.random.default_rng(11)
+        x = self._inputs(case, dtype, rng)
+        n = x.shape[-1]
+        scale = rng.standard_normal(n).astype(dtype)
+        shift = rng.standard_normal(n).astype(dtype)
+        dy = rng.standard_normal(x.shape).astype(dtype)
+        cache = {}
+        y = layer_norm(x, scale, shift, cache, "k")
+        expected, xhat, istd = _np_mean_layer_norm(x, scale, shift)
+        for got, want in ((y, expected), (cache["xhatk"], xhat), (cache["istdk"], istd)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got = _layer_norm_bwd(dy, xhat, istd, scale)
+        for g, want in zip(got, _np_mean_layer_norm_bwd(dy, xhat, istd, scale)):
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constant_row_normalizes_to_exact_zero(self, dtype):
+        # rows whose sums are exact, such as the zero rows of a masked frame
+        x = np.random.default_rng(12).standard_normal((3, 64)).astype(dtype)
+        x[1], x[2] = 0.0, -1.5
+        cache = {}
+        layer_norm(x, np.ones(64, dtype), np.zeros(64, dtype), cache)
+        assert not cache["xhat"][1:].any()
 
 
 class TestForwardBatch:

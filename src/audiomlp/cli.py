@@ -11,13 +11,15 @@ model, an unwritable --output or interp-demo --output-dir, a train
 2 unreadable, malformed or non-finite weight files, 3 unreadable or
 undecodable audio, 4 manifest problems, 5 probe data problems
 (embeddings holding NaN or infinite values, embeddings/labels that do
-not line up, or fewer than two classes).
+not line up, fewer than two classes, a label not below the number of
+examples, a non-finite --lr, or a fit whose loss is not finite).
 Every command prints a single JSON line with its results.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -334,7 +336,14 @@ def cmd_interp_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones.
+
+    argparse does not change a parser while it parses, so every main()
+    call in a process can reuse it; building it anew cost more than
+    parsing an embed command line.
+    """
     parser = _Parser(prog="audiomlp", description="All-MLP audio embedding engine")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

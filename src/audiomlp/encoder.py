@@ -28,7 +28,9 @@ over the flattened input in blocks of _GELU_CHUNK elements, every step in
 place in four reused scratch rows, so its memory beyond the outputs does
 not grow with the batch. Layer norm takes its row means as np.mean does
 (a pairwise sum, then a division) but without np.mean's Python wrapper,
-and works in place, with the same bits.
+and works in place, with the same bits. Without a cache, the block also
+applies its norm affines, bias adds, gate product and residual in place,
+again with the bits of the expression form.
 
 Weights live in a flat dict of named float32 arrays. The names double as
 the on-disk tensor names, the optimizer state keys and the gradient keys,
@@ -295,7 +297,9 @@ def layer_norm(
     """Normalize over the last axis to zero mean, unit variance, then affine.
 
     With a cache dict, the normalized input and the inverse standard
-    deviation are stored under "xhat" + key and "istd" + key.
+    deviation are stored under "xhat" + key and "istd" + key. Without one,
+    the affine is applied in place on the normalized input when that keeps
+    its dtype, with the same bits as the cached path.
     """
     n = x.shape[-1]
     # np.mean's float steps (a pairwise row sum, then / n) without its
@@ -311,6 +315,10 @@ def layer_norm(
     xhat *= istd
     if cache is not None:
         cache["xhat" + key], cache["istd" + key] = xhat, istd
+    elif np.result_type(xhat, scale, shift) == xhat.dtype:
+        xhat *= scale
+        xhat += shift
+        return xhat
     return xhat * scale + shift
 
 
@@ -335,11 +343,18 @@ def block_forward(
     derivative "dgelu", a contiguous copy of "value", "mixed", "gated"
     and "scale". The norm outputs are not kept; the backward pass
     recomputes them as xhat * scale + shift, which gives the same bits.
+
+    Bias adds, the stochastic-depth factor and the residual go in place
+    into the fresh matmul outputs, and without a cache the gate product
+    goes into the mixed gate. Each step keeps the bits of its expression
+    form as long as the block's tensors share one dtype and scale has the
+    activations' dtype, as encode's callers give them.
     """
     p = f"block.{index}."
     half = tensors[p + "U"].shape[1] // 2
     n1 = layer_norm(x, tensors[p + "pre_norm.scale"], tensors[p + "pre_norm.shift"], cache, "1")
-    upre = n1 @ tensors[p + "U"] + tensors[p + "U.bias"]
+    upre = n1 @ tensors[p + "U"]
+    upre += tensors[p + "U.bias"]
     if cache is None:
         hidden = gelu(upre)
     else:
@@ -348,15 +363,20 @@ def block_forward(
     n2 = layer_norm(
         gate, tensors[p + "gate_norm.scale"], tensors[p + "gate_norm.shift"], cache, "2"
     )
-    mixed = tensors[p + "G"] @ n2 + tensors[p + "G.bias"][:, None]
-    gated = value * mixed
-    branch = gated @ tensors[p + "V"] + tensors[p + "V.bias"]
-    if scale is not None:
-        branch = branch * scale[:, None, None]
-    if cache is not None:
+    mixed = tensors[p + "G"] @ n2
+    mixed += tensors[p + "G.bias"][:, None]
+    if cache is None:
+        gated = np.multiply(mixed, value, out=mixed)
+    else:
+        gated = value * mixed
         # a copy, so the cache does not keep the whole GELU output alive
         cache.update(value=value.copy(), mixed=mixed, gated=gated, scale=scale)
-    return x + branch
+    branch = gated @ tensors[p + "V"]
+    branch += tensors[p + "V.bias"]
+    if scale is not None:
+        branch *= scale[:, None, None]
+    branch += x
+    return branch
 
 
 def encode(

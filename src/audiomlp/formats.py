@@ -34,6 +34,11 @@ EMBEDDINGS_MAGIC = b"EMB1"
 
 _DTYPE_FOR_CODE = {0: np.dtype("<f4"), 1: np.dtype("<u4")}
 _MAX_RANK = 8
+_FLOAT32 = _DTYPE_FOR_CODE[0]
+_U8_PAIR = struct.Struct("<BB")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_DIMS = [struct.Struct(f"<{rank}I") for rank in range(_MAX_RANK + 1)]
 
 
 class FormatError(ValueError):
@@ -90,44 +95,62 @@ def write_tensor_table(path, magic: bytes, tensors: dict[str, np.ndarray]) -> No
     write_file_atomic(path, bytes(blob))
 
 
+def _truncated(what: str) -> FormatError:
+    return FormatError(f"file truncated reading {what}")
+
+
 def read_tensor_table(path, magic: bytes) -> dict[str, np.ndarray]:
+    """Parse a tensor table in one pass over the file's bytes.
+
+    Headers are unpacked in place at running offsets, and each payload is
+    copied straight out of the file's bytes into its own array.
+    """
     data = Path(path).read_bytes()
-    off = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise FormatError(f"file truncated reading {what}")
-        chunk = data[off : off + n]
-        off += n
-        return chunk
-
-    if take(4, "magic") != magic:
+    end = len(data)
+    if end < 4:
+        raise _truncated("magic")
+    if data[:4] != magic:
         raise FormatError(f"bad magic; expected {magic.decode('ascii')} file")
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
+    if end < 8:
+        raise _truncated("tensor count")
+    (count,) = _U32.unpack_from(data, 4)
+    off = 8
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        if off + 2 > end:
+            raise _truncated("name length")
+        (name_len,) = _U16.unpack_from(data, off)
+        start, off = off + 2, off + 2 + name_len
+        if off > end:
+            raise _truncated("name")
         try:
-            name = take(name_len, "name").decode("utf-8")
+            name = data[start:off].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError("tensor name is not valid UTF-8") from exc
         if name in tensors:
             raise FormatError(f"duplicate tensor {name!r}")
-        code, rank = struct.unpack("<BB", take(2, "dtype and rank"))
-        if code not in _DTYPE_FOR_CODE:
+        if off + 2 > end:
+            raise _truncated("dtype and rank")
+        code, rank = _U8_PAIR.unpack_from(data, off)
+        off += 2
+        dtype = _DTYPE_FOR_CODE.get(code)
+        if dtype is None:
             raise FormatError(f"unknown dtype code {code} for tensor {name!r}")
         if rank > _MAX_RANK:
             raise FormatError(f"rank {rank} too large for tensor {name!r}")
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        dtype = _DTYPE_FOR_CODE[code]
-        payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name!r}")
+        if off + 4 * rank > end:
+            raise _truncated("dims")
+        dims = _DIMS[rank].unpack_from(data, off)
+        off += 4 * rank
+        start, off = off, off + math.prod(dims) * dtype.itemsize
+        if off > end:
+            raise _truncated(f"payload of {name!r}")
         try:
-            tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+            tensors[name] = np.ndarray(dims, dtype, data, start).copy()
         except ValueError as exc:  # a zero dim beside dims too large for numpy
             raise FormatError(f"shape {dims} of tensor {name!r}: {exc}") from None
-    if off != len(data):
-        raise FormatError(f"{len(data) - off} trailing bytes after last tensor")
+    if off != end:
+        raise FormatError(f"{end - off} trailing bytes after last tensor")
     return tensors
 
 
@@ -153,9 +176,11 @@ def load_weights(path) -> EncoderWeights:
     if meta.shape != (6,) or meta.dtype != np.dtype("<u4"):
         raise FormatError("meta tensor must be six uint32 values")
     for name, tensor in tensors.items():
-        if tensor.dtype != np.dtype("<f4"):
+        if tensor.dtype != _FLOAT32:
             raise FormatError(f"tensor {name!r} is not float32")
-        if not np.isfinite(tensor).all():
+        # a finite sum of squares has no NaN or Inf among its terms; only
+        # when it overflows does the exact elementwise test run
+        if not math.isfinite(np.vdot(tensor, tensor)) and not np.isfinite(tensor).all():
             raise FormatError(f"tensor {name!r} holds NaN or infinite values")
     try:
         config = EncoderConfig(*(int(v) for v in meta))

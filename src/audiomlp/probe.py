@@ -30,8 +30,8 @@ class ProbeConfig:
             raise ValueError("hidden_units must be non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
 
 
 @dataclass
@@ -101,7 +101,12 @@ def _probe_grads(embeddings, labels, probe):
 def train_probe(
     embeddings: np.ndarray, labels: np.ndarray, config: ProbeConfig | None = None
 ) -> ProbeWeights:
-    """Fit a probe full-batch; the number of classes is max(labels) + 1."""
+    """Fit a probe full-batch; the number of classes is max(labels) + 1.
+
+    Raises ValueError on bad inputs, among them a largest label not below
+    the number of examples (checked before the probe is allocated), and
+    on the first non-finite loss.
+    """
     if config is None:
         config = ProbeConfig()
     embeddings = np.asarray(embeddings, dtype=np.float32)
@@ -114,12 +119,18 @@ def train_probe(
         raise ValueError("labels must be non-negative")
     if len(np.unique(labels)) < 2:
         raise ValueError("probe training needs at least two distinct labels")
+    if labels.max() >= len(labels):
+        raise ValueError(
+            f"largest label {labels.max()} is not below the number of examples ({len(labels)})"
+        )
     n_classes = int(labels.max()) + 1
 
     probe = init_probe(embeddings.shape[1], n_classes, config)
     state = init_adamw_state(probe.tensors)
-    for _ in range(config.epochs):
-        _, grads = _probe_grads(embeddings, labels, probe)
+    for epoch in range(config.epochs):
+        loss, grads = _probe_grads(embeddings, labels, probe)
+        if not math.isfinite(loss):
+            raise ValueError(f"probe loss is not finite at epoch {epoch}")
         adamw_update(probe.tensors, grads, state, config.lr, 0.0)
     return probe
 

@@ -81,12 +81,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.peak_lr <= 0:
-            raise ValueError("peak_lr must be positive")
+        if not 0 < self.peak_lr < math.inf:
+            raise ValueError("peak_lr must be positive and finite")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be non-negative and finite")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must lie in [0, 1)")
         if not 0.0 < self.survival <= 1.0:

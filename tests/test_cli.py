@@ -391,6 +391,24 @@ class TestTrain:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--peak-lr", "--weight-decay"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_hyperparameter_exits_1_before_training(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        manifest = write_tiny_dataset(tmp_path)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training must not start")
+
+        monkeypatch.setattr("audiomlp.cli.train", no_training)
+        out = tmp_path / "m.kwm1"
+        code = main(["train", "--manifest", str(manifest), "--output", str(out), flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be" in captured.err
+        assert list(tmp_path.glob("m.*")) == []
+
 
 class TestProbe:
     def _write_probe_inputs(self, tmp_path, n=40):
@@ -451,6 +469,32 @@ class TestProbe:
         assert main(["probe", "--embeddings", str(emb_path), "--labels", str(labels_path)]) == 5
         captured = capsys.readouterr()
         assert captured.out == "" and "NaN or infinite" in captured.err
+
+    def test_label_beyond_example_count_exits_5(self, tmp_path, capsys):
+        emb_path = tmp_path / "e.emb1"
+        save_embeddings(emb_path, np.random.default_rng(4).standard_normal((6, 8)))
+        labels_path = tmp_path / "labels.txt"
+        labels_path.write_text("0\n1\n1000000000\n0\n1\n0\n")
+        assert main(["probe", "--embeddings", str(emb_path), "--labels", str(labels_path)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "largest label 1000000000" in captured.err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "lr, fill", [("nan", None), ("inf", None), ("0.01", 3e38)], ids=["lr-nan", "lr-inf", "3e38"]
+    )
+    def test_non_finite_fit_exits_5(self, tmp_path, capsys, lr, fill):
+        emb = np.random.default_rng(4).standard_normal((6, 8))
+        if fill is not None:
+            emb[:] = fill
+        emb_path = tmp_path / "e.emb1"
+        save_embeddings(emb_path, emb)
+        labels_path = tmp_path / "labels.txt"
+        labels_path.write_text("0\n1\n0\n1\n0\n1\n")
+        argv = ["probe", "--embeddings", str(emb_path), "--labels", str(labels_path), "--lr", lr]
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
 
     def test_non_integer_labels_exit_5(self, tmp_path):
         emb_path, labels_path = self._write_probe_inputs(tmp_path)
@@ -521,6 +565,42 @@ class TestParser:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+    def test_one_parser_keeps_no_state_between_calls(self, tmp_path, default_weights_file, capsys):
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(make_wav(noise_clip(np.random.default_rng(8))))
+        weights = str(default_weights_file)
+
+        def commands(out_dir):
+            embed = ["embed", str(wav), "--weights", weights, "--output"]
+            return [
+                embed + [str(out_dir / "bad.emb1"), "--algorithm", "nope"],
+                embed + [str(out_dir / "shallow.emb1"), "--depth", "1"],
+                embed + [str(out_dir / "full.emb1")],
+                ["inspect", "--weights", weights],
+            ]
+
+        def result(code, out, err, out_dir):
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            last_err = err.strip().split("\n")[-1]
+            return code, out.replace(str(out_dir), "<out>"), last_err, files
+
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        in_process, separate = [], []
+        for argv in commands(here):
+            here.mkdir(exist_ok=True)
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_process.append(result(code, captured.out, captured.err, here))
+        for argv in commands(fresh):
+            fresh.mkdir(exist_ok=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", "audiomlp.cli", *argv], capture_output=True, text=True
+            )
+            separate.append(result(proc.returncode, proc.stdout, proc.stderr, fresh))
+        assert [r[0] for r in in_process] == [1, 0, 0, 0]
+        assert json.loads(in_process[2][1])["depth"] == EncoderConfig().depth
+        assert in_process == separate
 
     def test_module_entry_point(self):
         result = subprocess.run(

@@ -13,10 +13,12 @@ import pytest
 from audiomlp import encoder
 from audiomlp.encoder import (
     _GELU_CHUNK,
+    LN_EPS,
     EncoderConfig,
     EncoderWeights,
     _normal_cdf,
     block_forward,
+    encode,
     extract_timestamps,
     gelu,
     gelu_with_grad,
@@ -264,6 +266,94 @@ class TestBlockIdentities:
             expected = x + value @ t["block.0.V"] + t["block.0.V.bias"]
             out = block_forward(x, t, 0)
             assert np.max(np.abs(out - expected)) <= 1e-12
+
+
+def _expression_layer_norm(x, scale, shift):
+    """Oracle: layer_norm with its affine as an expression (new arrays)."""
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= n
+    xhat = x - mean
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= n
+    var += LN_EPS
+    istd = np.sqrt(var, out=var)
+    np.divide(1.0, istd, out=istd)
+    xhat *= istd
+    return xhat * scale + shift
+
+
+def _expression_encode(features, t, depth, scales=None):
+    """Oracle: encode without a cache, every block step as an expression."""
+    x = patch_embed(features, t)
+    for i in range(depth):
+        p = f"block.{i}."
+        half = t[p + "U"].shape[1] // 2
+        n1 = _expression_layer_norm(x, t[p + "pre_norm.scale"], t[p + "pre_norm.shift"])
+        hidden = gelu(n1 @ t[p + "U"] + t[p + "U.bias"])
+        value, gate = hidden[..., :half], hidden[..., half:]
+        n2 = _expression_layer_norm(gate, t[p + "gate_norm.scale"], t[p + "gate_norm.shift"])
+        mixed = t[p + "G"] @ n2 + t[p + "G.bias"][:, None]
+        branch = (value * mixed) @ t[p + "V"] + t[p + "V.bias"]
+        if scales is not None:
+            branch = branch * scales[i][:, None, None]
+        x = x + branch
+    return _expression_layer_norm(x, t["final_norm.scale"], t["final_norm.shift"])
+
+
+class TestInPlaceForwardBits:
+    """The no-cache forward works in place with the bits of its expression form."""
+
+    @staticmethod
+    def _weights(dtype):
+        # every tensor random, so no bias, gate or norm affine is an identity
+        rng = np.random.default_rng(21)
+        config = EncoderConfig(depth=3)
+        tensors = {
+            name: (0.3 * rng.standard_normal(shape)).astype(dtype)
+            for name, shape in tensor_shapes(config).items()
+        }
+        return EncoderWeights(config, tensors)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_encode_matches_expression_form(self, dtype, batch):
+        w = self._weights(dtype)
+        features = np.random.default_rng(22).standard_normal((batch, 40, 98)).astype(dtype)
+        got = encode(features, w.tensors, 3)
+        want = _expression_encode(features, w.tensors, 3)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_encode_with_branch_factors_matches_expression_form(self, dtype):
+        w = self._weights(dtype)
+        rng = np.random.default_rng(23)
+        features = rng.standard_normal((4, 40, 98)).astype(dtype)
+        scales = [((rng.random(4) < 0.7) / 0.7).astype(dtype) for _ in range(3)]
+        got = encode(features, w.tensors, 3, scales=scales)
+        want = _expression_encode(features, w.tensors, 3, scales)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(98, 64), (98, 256), (4, 98, 128)])
+    def test_layer_norm_same_bits_with_and_without_cache(self, dtype, shape):
+        rng = np.random.default_rng(24)
+        x = (4.0 * rng.standard_normal(shape) + 1.0).astype(dtype)
+        if shape == (98, 256):
+            x = x[:, 128:]  # the gate half: a strided view
+        n = x.shape[-1]
+        scale = rng.standard_normal(n).astype(dtype)
+        shift = rng.standard_normal(n).astype(dtype)
+        cached = layer_norm(x, scale, shift, {})
+        plain = layer_norm(x, scale, shift)
+        assert plain.dtype == cached.dtype and plain.tobytes() == cached.tobytes()
+
+    def test_layer_norm_keeps_wider_affine_dtype(self):
+        x = np.random.default_rng(25).standard_normal((6, 8)).astype(np.float32)
+        scale, shift = np.full(8, 1.0 + 1e-12), np.full(8, 1e-12)
+        got = layer_norm(x, scale, shift)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _expression_layer_norm(x, scale, shift).tobytes()
 
 
 class TestExtract:

@@ -151,6 +151,18 @@ class TestWeightsFile:
         with pytest.raises(FormatError, match="block.1.U"):
             load_weights(path)
 
+    def test_largest_finite_weights_load(self, tmp_path):
+        # their sum of squares overflows, so the exact elementwise test decides
+        w = init_weights(TOY, seed=0)
+        big = np.finfo(np.float32).max
+        w.tensors["block.1.U"][:] = big
+        w.tensors["head.W"][0, 0] = -big
+        path = tmp_path / "w.kwm1"
+        save_weights(path, w)
+        loaded = load_weights(path)
+        for name, tensor in w.tensors.items():
+            assert loaded.tensors[name].tobytes() == tensor.tobytes()
+
 
 class TestOptimizerFile:
     def _state(self):

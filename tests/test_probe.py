@@ -39,7 +39,16 @@ class TestConfig:
         cfg = ProbeConfig()
         assert cfg.hidden_units == 0 and cfg.epochs == 200
 
-    @pytest.mark.parametrize("kwargs", [{"hidden_units": -1}, {"epochs": 0}, {"lr": 0.0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"hidden_units": -1},
+            {"epochs": 0},
+            {"lr": 0.0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+        ],
+    )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ProbeConfig(**kwargs)
@@ -104,6 +113,23 @@ class TestTraining:
     def test_rejects_negative_labels(self):
         with pytest.raises(ValueError):
             train_probe(np.ones((4, 2)), np.array([0, 1, -1, 1]))
+
+    def test_rejects_label_beyond_example_count(self, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("nothing may be allocated for the classes")
+
+        monkeypatch.setattr("audiomlp.probe.init_probe", no_probe)
+        x = np.ones((6, 8), dtype=np.float32)
+        with pytest.raises(ValueError, match="largest label 6 is not below"):
+            train_probe(x, np.array([0, 1, 6, 0, 1, 0]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("hidden_units", [0, 4])
+    def test_rejects_non_finite_loss(self, hidden_units):
+        x = np.full((6, 8), 3e38, dtype=np.float32)
+        y = np.array([0, 1] * 3)
+        with pytest.raises(ValueError, match="loss is not finite at epoch 0"):
+            train_probe(x, y, ProbeConfig(hidden_units=hidden_units))
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):

@@ -137,6 +137,10 @@ class TestTrainConfig:
             {"survival": 0.0},
             {"survival": 1.5},
             {"time_mask_width": -1},
+            {"peak_lr": float("nan")},
+            {"peak_lr": float("inf")},
+            {"weight_decay": float("nan")},
+            {"weight_decay": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -5,20 +5,24 @@ a labeled manifest), probe (fit and score a shallow probe on saved
 embeddings), inspect (summarize a weights file), interp-demo (image
 downsampling comparison of the two interpolation strategies).
 
-Exit codes: 0 success, 1 usage errors (bad flags, depth beyond the
+Exit codes: 0 success; 1 usage errors (bad flags, depth beyond the
 model, an unwritable --output or interp-demo --output-dir, a train
---output ending in .opt1 or .csv) and training runs whose loss diverges,
-2 unreadable, malformed or non-finite weight files, 3 unreadable or
-undecodable audio, 4 manifest problems, 5 probe data problems
-(embeddings holding NaN or infinite values, embeddings/labels that do
-not line up, fewer than two classes, a label not below the number of
-examples, a non-finite --lr, or a fit whose loss is not finite).
+--output ending in .opt1 or .csv) and diverged training runs; 2 weight
+files that are unreadable, malformed, non-finite or inconsistent with
+their meta, and for embed weights of another feature geometry than the
+front end's; 3 unreadable or undecodable audio, rates below 1 kHz among
+it; 4 manifest problems, among them a label not below the number of
+entries; 5 probe data problems (non-finite embeddings, embeddings and
+labels that do not line up, fewer than two classes, a label not below
+the number of examples, a non-finite --lr, a non-finite loss or final
+logits).
 Every command prints a single JSON line with its results.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -27,6 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import (
+    N_FRAMES,
+    N_MFCC,
     TARGET_RATE,
     AudioBuffer,
     DecodeError,
@@ -117,11 +123,16 @@ def cmd_embed(args) -> int:
         weights = _load_weights_cmd(args.weights)
     except FormatError as exc:
         return _fail(EXIT_WEIGHTS, str(exc))
-    depth = args.depth
-    if depth is not None and not 0 <= depth <= weights.config.depth:
+    cfg = weights.config
+    if (cfg.n_mfcc, cfg.n_frames) != (N_MFCC, N_FRAMES):
         return _fail(
-            EXIT_USAGE, f"--depth {depth} outside [0, {weights.config.depth}] for this model"
+            EXIT_WEIGHTS,
+            f"weights {args.weights} take ({cfg.n_mfcc}, {cfg.n_frames}) features; "
+            f"embed computes ({N_MFCC}, {N_FRAMES})",
         )
+    depth = args.depth
+    if depth is not None and not 0 <= depth <= cfg.depth:
+        return _fail(EXIT_USAGE, f"--depth {depth} outside [0, {cfg.depth}] for this model")
     try:
         wav_bytes = Path(args.audio).read_bytes()
         embeddings = encode_audio(wav_bytes, weights, args.algorithm, depth)
@@ -140,7 +151,7 @@ def cmd_embed(args) -> int:
                 "segments": int(embeddings.shape[0]),
                 "dim": int(embeddings.shape[1]),
                 "algorithm": args.algorithm,
-                "depth": weights.config.depth if depth is None else depth,
+                "depth": cfg.depth if depth is None else depth,
                 "output": str(args.output),
             }
         )
@@ -153,9 +164,20 @@ def cmd_train(args) -> int:
         entries = load_manifest(args.manifest)
     except (ManifestError, OSError) as exc:
         return _fail(EXIT_MANIFEST, f"cannot read manifest {args.manifest}: {exc}")
+    # the head gets a row per class up to the largest label: check the
+    # labels before any WAV is decoded
+    largest = max(label for _, label in entries)
+    if largest >= len(entries):
+        return _fail(
+            EXIT_MANIFEST,
+            f"largest label {largest} is not below the number of entries ({len(entries)})",
+        )
+    labels = np.array([label for _, label in entries])
+    if len(np.unique(labels)) < 2:
+        return _fail(EXIT_MANIFEST, "manifest needs at least two distinct labels")
 
-    features, labels = [], []
-    for wav_path, label in entries:
+    features = []
+    for wav_path, _ in entries:
         try:
             audio = _decode_at_model_rate(wav_path.read_bytes())
         except (OSError, DecodeError) as exc:
@@ -163,28 +185,12 @@ def cmd_train(args) -> int:
         # training examples are single 1 s segments; whole files are
         # represented by their first second
         features.append(mfcc(pad_and_segment(audio)[0]))
-        labels.append(label)
-    labels = np.array(labels)
-    n_classes = int(labels.max()) + 1
-    if len(np.unique(labels)) < 2:
-        return _fail(EXIT_MANIFEST, "manifest needs at least two distinct labels")
     features = np.stack(features)
 
     try:
-        encoder_config = EncoderConfig(depth=args.depth, n_classes=n_classes)
+        encoder_config = EncoderConfig(depth=args.depth, n_classes=largest + 1)
         train_config = TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            peak_lr=args.peak_lr,
-            warmup_epochs=args.warmup_epochs,
-            weight_decay=args.weight_decay,
-            label_smoothing=args.label_smoothing,
-            survival=args.survival,
-            time_masks=args.time_masks,
-            time_mask_width=args.time_mask_width,
-            freq_masks=args.freq_masks,
-            freq_mask_width=args.freq_mask_width,
-            seed=args.seed,
+            **{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
         )
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
@@ -227,7 +233,7 @@ def cmd_train(args) -> int:
         json.dumps(
             {
                 "examples": len(features),
-                "classes": n_classes,
+                "classes": largest + 1,
                 "steps": result.steps,
                 "final_loss": round(result.epoch_losses[-1], 9),
                 "train_accuracy": accuracy,
@@ -360,18 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="lines of wav-path<TAB>label")
     p.add_argument("--output", required=True, help="weights file to write (.opt1/.csv siblings)")
     p.add_argument("--depth", type=int, default=EncoderConfig().depth)
-    p.add_argument("--epochs", type=int, default=TrainConfig().epochs)
-    p.add_argument("--batch-size", type=int, default=TrainConfig().batch_size)
-    p.add_argument("--peak-lr", type=float, default=TrainConfig().peak_lr)
-    p.add_argument("--warmup-epochs", type=int, default=TrainConfig().warmup_epochs)
-    p.add_argument("--weight-decay", type=float, default=TrainConfig().weight_decay)
-    p.add_argument("--label-smoothing", type=float, default=TrainConfig().label_smoothing)
-    p.add_argument("--survival", type=float, default=TrainConfig().survival)
-    p.add_argument("--time-masks", type=int, default=TrainConfig().time_masks)
-    p.add_argument("--time-mask-width", type=int, default=TrainConfig().time_mask_width)
-    p.add_argument("--freq-masks", type=int, default=TrainConfig().freq_masks)
-    p.add_argument("--freq-mask-width", type=int, default=TrainConfig().freq_mask_width)
-    p.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(TrainConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("probe", help="fit a shallow probe on saved embeddings")

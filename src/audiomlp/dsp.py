@@ -22,6 +22,10 @@ import numpy as np
 
 TARGET_RATE = 16000
 SEGMENT_SAMPLES = TARGET_RATE  # one second at the model rate
+# Lowest rate decode_wav accepts. Resampling to TARGET_RATE multiplies the
+# sample count by TARGET_RATE / rate, so a header claiming a few Hz would
+# turn a small file into gigabytes of output.
+MIN_SAMPLE_RATE = 1000
 
 # MFCC geometry: 30 ms Hann window, 10 ms hop, power spectrum, 40 mel
 # filters, 40 DCT-II coefficients.
@@ -30,6 +34,7 @@ HOP_SAMPLES = 160
 FFT_SIZE = 512
 N_MELS = 40
 N_MFCC = 40
+N_FRAMES = 1 + (SEGMENT_SAMPLES - WINDOW_SAMPLES) // HOP_SAMPLES
 LOG_FLOOR = 1e-10
 
 # Windowed-sinc resampler: zero crossings kept on each side of the kernel
@@ -71,10 +76,6 @@ class AudioBuffer:
     samples: np.ndarray
     sample_rate: int
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def _require_samples(audio: AudioBuffer) -> None:
     if len(audio.samples) == 0:
@@ -88,7 +89,8 @@ def decode_wav(data: bytes) -> AudioBuffer:
 
     Accepts PCM 16-bit (format 1) and IEEE float 32-bit (format 3) with any
     channel count; channels are averaged. Integer samples are scaled by
-    1/32768; float samples must be finite.
+    1/32768; float samples must be finite. Rates below MIN_SAMPLE_RATE
+    raise UnsupportedWavError.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError("not a RIFF/WAVE container")
@@ -123,6 +125,10 @@ def decode_wav(data: bytes) -> AudioBuffer:
         raise MalformedWavError("fmt declares zero channels")
     if fmt["rate"] <= 0:
         raise MalformedWavError("fmt declares non-positive sample rate")
+    if fmt["rate"] < MIN_SAMPLE_RATE:
+        raise UnsupportedWavError(
+            f"sample rate {fmt['rate']} Hz is below the {MIN_SAMPLE_RATE} Hz floor"
+        )
 
     if fmt["code"] == 1 and fmt["bits"] == 16:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
@@ -265,10 +271,10 @@ _DCT_T = dct_matrix(N_MFCC, N_MELS).T
 
 
 def mfcc(segment: AudioBuffer) -> np.ndarray:
-    """MFCCs of one 1 s segment as an (N_MFCC, 98) float32 matrix.
+    """MFCCs of one 1 s segment as an (N_MFCC, N_FRAMES) float32 matrix.
 
     Frame t covers samples [t * HOP_SAMPLES, t * HOP_SAMPLES + WINDOW_SAMPLES),
-    so a 16000-sample segment gives exactly 98 frames.
+    so a 16000-sample segment gives exactly N_FRAMES = 98 frames.
     """
     if segment.sample_rate != TARGET_RATE:
         raise ValueError(f"segment rate {segment.sample_rate} != {TARGET_RATE}")

@@ -7,15 +7,17 @@ gate half across time with a learned frames-by-frames matrix, multiplies
 the halves, projects back down, and adds the input back. A final layer
 norm is applied at whatever depth embeddings are read from.
 
-This module holds the package's only forward pass. The same functions
-run one example or a batch; the trainer passes per-example
-stochastic-depth factors and a cache that collects the intermediates of
-its hand-written backward pass. Per block the cache holds the two layer
-norms' normalized inputs and inverse deviations, the GELU derivative,
-the value half, the mixed gate and the gated product; the norm outputs
-are recomputed in the backward pass rather than kept. GELU (alone, or
-with its derivative from the same Gaussian CDF evaluation) and layer
-norm are defined here once and shared with the trainer and the probes.
+This module holds the package's only forward pass and the encoder's
+backward pass, written out analytically (there is no autodiff). The same
+functions run one example or a batch. The trainer passes per-example
+stochastic-depth factors and a cache dict that encode fills and
+encode_backward consumes. The cache is this module's own format:
+cache["blocks"][i] holds block i's two norms' normalized inputs and
+inverse deviations ("xhat1", "istd1", "xhat2", "istd2"), the GELU
+derivative "dgelu", a copy of the value half "value", the mixed gate
+"mixed", the gated product "gated" and the branch factors "scale"; the
+final norm's statistics are "xhat_f" and "istd_f". The norm outputs are
+recomputed from xhat rather than kept, with the same bits.
 
 GELU is exact, u * Phi(u) (Hendrycks & Gimpel, arXiv 1606.08415). Phi
 comes from a numpy kernel in one of two forms, picked by dtype, with
@@ -26,11 +28,9 @@ dtype of the gradient checks, computes erfc(z) = t * exp(-z*z + P(2t - 1))
 with t = 2 / (2 + z) and P a 22-term Chebyshev series. The kernel runs
 over the flattened input in blocks of _GELU_CHUNK elements, every step in
 place in four reused scratch rows, so its memory beyond the outputs does
-not grow with the batch. Layer norm takes its row means as np.mean does
-(a pairwise sum, then a division) but without np.mean's Python wrapper,
-and works in place, with the same bits. Without a cache, the block also
-applies its norm affines, bias adds, gate product and residual in place,
-again with the bits of the expression form.
+not grow with the batch. Layer norm and its backward pass take their row
+means as np.mean does (a pairwise sum, then a division) but without
+np.mean's Python wrapper, and work in place, with the same bits.
 
 Weights live in a flat dict of named float32 arrays. The names double as
 the on-disk tensor names, the optimizer state keys and the gradient keys,
@@ -123,9 +123,6 @@ class EncoderWeights:
         return EncoderWeights(
             self.config, {k: v.astype(dtype) for k, v in self.tensors.items()}
         )
-
-    def copy(self) -> "EncoderWeights":
-        return EncoderWeights(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
 def init_weights(config: EncoderConfig | None = None, seed: int = 0) -> EncoderWeights:
@@ -291,6 +288,16 @@ def gelu_with_grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _gelu(u, True)
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """np.mean(x, axis=-1, keepdims=True) without its Python wrapper.
+
+    The same float steps, a pairwise row sum and then / n, so the same bits.
+    """
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= x.shape[-1]
+    return mean
+
+
 def layer_norm(
     x: np.ndarray, scale: np.ndarray, shift: np.ndarray, cache: dict | None = None, key: str = ""
 ) -> np.ndarray:
@@ -301,14 +308,8 @@ def layer_norm(
     the affine is applied in place on the normalized input when that keeps
     its dtype, with the same bits as the cached path.
     """
-    n = x.shape[-1]
-    # np.mean's float steps (a pairwise row sum, then / n) without its
-    # Python wrapper, and the rest in place: the same bits
-    mean = np.add.reduce(x, axis=-1, keepdims=True)
-    mean /= n
-    xhat = x - mean
-    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
-    var /= n
+    xhat = x - _row_mean(x)
+    var = _row_mean(xhat * xhat)
     var += LN_EPS
     istd = np.sqrt(var, out=var)
     np.divide(1.0, istd, out=istd)
@@ -320,6 +321,27 @@ def layer_norm(
         xhat += shift
         return xhat
     return xhat * scale + shift
+
+
+def layer_norm_backward(
+    dy: np.ndarray, xhat: np.ndarray, istd: np.ndarray, scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dscale, dshift) of layer_norm, from dy and the cached xhat and istd.
+
+    dx = istd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
+    dxhat = dy * scale, formed in place in dxhat: the same bits as the
+    expression.
+    """
+    reduce_axes = tuple(range(dy.ndim - 1))
+    dscale = (dy * xhat).sum(axis=reduce_axes)
+    dshift = dy.sum(axis=reduce_axes)
+    dxhat = dy * scale
+    prod = dxhat * xhat
+    mean_prod = _row_mean(prod)
+    dxhat -= _row_mean(dxhat)
+    dxhat -= np.multiply(xhat, mean_prod, out=prod)
+    dxhat *= istd
+    return dxhat, dscale, dshift
 
 
 def patch_embed(features: np.ndarray, tensors: dict[str, np.ndarray]) -> np.ndarray:
@@ -338,11 +360,8 @@ def block_forward(
     """One gated-MLP block on a (frames, dim) or (B, frames, dim) sequence.
 
     scale, for a batch, is the per-example (B,) factor on the branch
-    (stochastic depth). With a cache dict, the intermediates the backward
-    pass needs are stored in it: the two norms' xhat/istd, the GELU
-    derivative "dgelu", a contiguous copy of "value", "mixed", "gated"
-    and "scale". The norm outputs are not kept; the backward pass
-    recomputes them as xhat * scale + shift, which gives the same bits.
+    (stochastic depth). With a cache dict, the block's intermediates for
+    encode_backward are stored in it (listed in the module docstring).
 
     Bias adds, the stochastic-depth factor and the residual go in place
     into the fresh matmul outputs, and without a cache the gate product
@@ -391,8 +410,7 @@ def encode(
 
     Runs the patch embedding, the first depth blocks and the final norm.
     scales[i] is block i's per-example branch factor. With a cache dict,
-    cache["blocks"][i] holds block i's intermediates and the final norm's
-    statistics go under "xhat_f" and "istd_f".
+    it collects what encode_backward reads.
     """
     if cache is not None:
         cache["blocks"] = [{} for _ in range(depth)]
@@ -406,6 +424,56 @@ def encode(
             cache=None if cache is None else cache["blocks"][i],
         )
     return layer_norm(x, tensors["final_norm.scale"], tensors["final_norm.shift"], cache, "_f")
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """(B, T, C) to (B * T, C), so a weight gradient is one matrix product."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def encode_backward(
+    dts: np.ndarray, features: np.ndarray, tensors: dict[str, np.ndarray], cache: dict
+) -> dict[str, np.ndarray]:
+    """Gradients of encode's tensors, given dts, the gradient of its output.
+
+    features and cache are the input and the cache of the encode call.
+    Each block's entry is removed from the cache once that block's
+    gradients are formed, so the cache shrinks as the gradients grow.
+    """
+    t = tensors
+    grads: dict[str, np.ndarray] = {}
+    dx, grads["final_norm.scale"], grads["final_norm.shift"] = layer_norm_backward(
+        dts, cache["xhat_f"], cache["istd_f"], t["final_norm.scale"]
+    )
+    for i in reversed(range(len(cache["blocks"]))):
+        p = f"block.{i}."
+        bc = cache["blocks"].pop()
+        dbranch = dx if bc["scale"] is None else dx * bc["scale"][:, None, None]
+        grads[p + "V"] = _flat(bc["gated"]).T @ _flat(dbranch)
+        grads[p + "V.bias"] = dbranch.sum(axis=(0, 1))
+        dgated = dbranch @ t[p + "V"].T
+        dvalue = dgated * bc["mixed"]
+        dmixed = dgated * bc["value"]
+        n2 = bc["xhat2"] * t[p + "gate_norm.scale"] + t[p + "gate_norm.shift"]
+        grads[p + "G"] = (dmixed @ np.swapaxes(n2, 1, 2)).sum(axis=0)
+        grads[p + "G.bias"] = dmixed.sum(axis=(0, 2))
+        dn2 = np.matmul(t[p + "G"].T, dmixed)
+        dgate, grads[p + "gate_norm.scale"], grads[p + "gate_norm.shift"] = layer_norm_backward(
+            dn2, bc["xhat2"], bc["istd2"], t[p + "gate_norm.scale"]
+        )
+        dhidden = np.concatenate([dvalue, dgate], axis=-1)
+        dupre = dhidden * bc["dgelu"]
+        n1 = bc["xhat1"] * t[p + "pre_norm.scale"] + t[p + "pre_norm.shift"]
+        grads[p + "U"] = _flat(n1).T @ _flat(dupre)
+        grads[p + "U.bias"] = dupre.sum(axis=(0, 1))
+        dn1 = dupre @ t[p + "U"].T
+        dxpre, grads[p + "pre_norm.scale"], grads[p + "pre_norm.shift"] = layer_norm_backward(
+            dn1, bc["xhat1"], bc["istd1"], t[p + "pre_norm.scale"]
+        )
+        dx = dx + dxpre
+    grads["P0"] = _flat(np.swapaxes(features, 1, 2)).T @ _flat(dx)
+    grads["P0.bias"] = dx.sum(axis=(0, 1))
+    return grads
 
 
 def extract_timestamps(

@@ -104,8 +104,9 @@ def train_probe(
     """Fit a probe full-batch; the number of classes is max(labels) + 1.
 
     Raises ValueError on bad inputs, among them a largest label not below
-    the number of examples (checked before the probe is allocated), and
-    on the first non-finite loss.
+    the number of examples (checked before the probe is allocated), on
+    the first non-finite loss, and on non-finite logits after the last
+    update.
     """
     if config is None:
         config = ProbeConfig()
@@ -132,6 +133,8 @@ def train_probe(
         if not math.isfinite(loss):
             raise ValueError(f"probe loss is not finite at epoch {epoch}")
         adamw_update(probe.tensors, grads, state, config.lr, 0.0)
+    if not np.isfinite(probe_logits(embeddings, probe)).all():
+        raise ValueError("probe logits are not finite after the last update")
     return probe
 
 

@@ -1,19 +1,11 @@
 """Supervised training for the encoder, with hand-derived gradients.
 
-The forward pass is encoder.encode, run on a batch with a cache of the
-intermediates backprop needs. During training stochastic depth drops each
-block's branch per example with probability 1 - survival, and kept
-branches are scaled by 1 / survival so inference needs no rescaling.
-
-This module holds the loss, the backward pass and the optimizer. The
-backward pass is written out analytically layer by layer; there is no
-autodiff anywhere in the package. It reads the GELU derivative that the
-forward pass computed along with GELU itself (encoder.gelu_with_grad),
-recomputes each block's two norm outputs from the cached xhat (the same
-bits, without keeping them), runs the layer-norm backward pass in place
-with its row means taken as encoder.layer_norm takes them, and forms
-every weight gradient as one matrix product over a batch's flattened
-(B * frames) rows. Gradients live in a plain dict keyed by the same
+The encoder's forward and backward passes are encoder.encode and
+encoder.encode_backward; this module holds the pooled classifier head,
+the loss, stochastic depth and the optimizer. During training stochastic
+depth drops each block's branch per example with probability
+1 - survival, and kept branches are scaled by 1 / survival so inference
+needs no rescaling. Gradients live in a plain dict keyed by the same
 tensor names the weights use, which is also what the AdamW update and
 the optimizer state files consume.
 
@@ -36,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncoderConfig, EncoderWeights, encode
+from .encoder import EncoderConfig, EncoderWeights, encode, encode_backward
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -145,33 +137,6 @@ def smoothed_cross_entropy(
     return float(-rows.mean()), residual / len(logits)
 
 
-def _layer_norm_bwd(dy, xhat, istd, scale):
-    """dx = istd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = dy * scale.
-
-    The row means are np.mean's float steps (as in encoder.layer_norm) and
-    the rest runs in place in dxhat: the same bits as the expression.
-    """
-    reduce_axes = tuple(range(dy.ndim - 1))
-    n = dy.shape[-1]
-    dscale = (dy * xhat).sum(axis=reduce_axes)
-    dshift = dy.sum(axis=reduce_axes)
-    dxhat = dy * scale
-    prod = dxhat * xhat
-    mean_prod = np.add.reduce(prod, axis=-1, keepdims=True)
-    mean_prod /= n
-    mean = np.add.reduce(dxhat, axis=-1, keepdims=True)
-    mean /= n
-    dxhat -= mean
-    dxhat -= np.multiply(xhat, mean_prod, out=prod)
-    dxhat *= istd
-    return dxhat, dscale, dshift
-
-
-def _flat(x: np.ndarray) -> np.ndarray:
-    """(B, T, C) to (B * T, C), so a weight gradient is one matrix product."""
-    return x.reshape(-1, x.shape[-1])
-
-
 def _check_features(features: np.ndarray, cfg: EncoderConfig) -> None:
     if features.ndim != 3 or features.shape[1:] != (cfg.n_mfcc, cfg.n_frames):
         raise ValueError(
@@ -211,8 +176,8 @@ def forward_batch(
 ):
     """Batched classifier forward pass.
 
-    features is (B, n_mfcc, n_frames). Returns (logits, cache); the cache
-    holds every intermediate the backward pass needs. Given scales (from
+    features is (B, n_mfcc, n_frames). Returns (logits, cache): encode's
+    cache plus the mean-pooled frames under "pooled". Given scales (from
     _branch_scales), block i's branch is multiplied by scales[i], its
     stochastic-depth factor per example; without, every branch is kept.
     Nothing is drawn here: loss_and_grads draws once for the whole batch
@@ -228,58 +193,6 @@ def forward_batch(
     return logits, cache
 
 
-def _backward(
-    features: np.ndarray, cache: dict, dlogits: np.ndarray, weights: EncoderWeights
-) -> dict[str, np.ndarray]:
-    """Gradients of every tensor, from forward_batch's cache and dlogits.
-
-    Consumes the cache: each block's entry is removed from it once that
-    block's gradients are formed, so the cache shrinks as the gradients
-    grow.
-    """
-    cfg = weights.config
-    t = weights.tensors
-    grads: dict[str, np.ndarray] = {}
-    grads["head.W"] = cache["pooled"].T @ dlogits
-    grads["head.bias"] = dlogits.sum(axis=0)
-    dpooled = dlogits @ t["head.W"].T
-    dts = np.broadcast_to(dpooled[:, None, :], (len(features), cfg.n_frames, cfg.dim))
-    dts = dts / cfg.n_frames
-    dx, grads["final_norm.scale"], grads["final_norm.shift"] = _layer_norm_bwd(
-        dts, cache["xhat_f"], cache["istd_f"], t["final_norm.scale"]
-    )
-    for i in reversed(range(cfg.depth)):
-        p = f"block.{i}."
-        bc = cache["blocks"].pop()  # block i's; dropped once its gradients are formed
-        dout = dx
-        dbranch = dout if bc["scale"] is None else dout * bc["scale"][:, None, None]
-        grads[p + "V"] = _flat(bc["gated"]).T @ _flat(dbranch)
-        grads[p + "V.bias"] = dbranch.sum(axis=(0, 1))
-        dgated = dbranch @ t[p + "V"].T
-        dvalue = dgated * bc["mixed"]
-        dmixed = dgated * bc["value"]
-        n2 = bc["xhat2"] * t[p + "gate_norm.scale"] + t[p + "gate_norm.shift"]
-        grads[p + "G"] = (dmixed @ np.swapaxes(n2, 1, 2)).sum(axis=0)
-        grads[p + "G.bias"] = dmixed.sum(axis=(0, 2))
-        dn2 = np.matmul(t[p + "G"].T, dmixed)
-        dgate, grads[p + "gate_norm.scale"], grads[p + "gate_norm.shift"] = _layer_norm_bwd(
-            dn2, bc["xhat2"], bc["istd2"], t[p + "gate_norm.scale"]
-        )
-        dhidden = np.concatenate([dvalue, dgate], axis=-1)
-        dupre = dhidden * bc["dgelu"]
-        n1 = bc["xhat1"] * t[p + "pre_norm.scale"] + t[p + "pre_norm.shift"]
-        grads[p + "U"] = _flat(n1).T @ _flat(dupre)
-        grads[p + "U.bias"] = dupre.sum(axis=(0, 1))
-        dn1 = dupre @ t[p + "U"].T
-        dxpre, grads[p + "pre_norm.scale"], grads[p + "pre_norm.shift"] = _layer_norm_bwd(
-            dn1, bc["xhat1"], bc["istd1"], t[p + "pre_norm.scale"]
-        )
-        dx = dout + dxpre
-    grads["P0"] = _flat(np.swapaxes(features, 1, 2)).T @ _flat(dx)
-    grads["P0.bias"] = dx.sum(axis=(0, 1))
-    return grads
-
-
 def loss_and_grads(
     features: np.ndarray,
     labels: np.ndarray,
@@ -292,12 +205,14 @@ def loss_and_grads(
     """Mean batch loss and analytic gradients for every tensor.
 
     The stochastic-depth factors are drawn for the whole batch first
-    (_branch_scales). Forward, loss rows and backward then run on
+    (_branch_scales). Forward, loss rows and backward (the head's
+    gradients here, the encoder's from encode_backward) then run on
     _MICRO_BATCH examples at a time; each slice's cache is dropped before
     the next forward, and its gradients are added into the totals.
     dlogits is divided by the whole batch's size.
     """
-    _check_features(features, weights.config)
+    cfg, t = weights.config, weights.tensors
+    _check_features(features, cfg)
     n = len(features)
     if n == 0:
         raise ValueError("empty batch")
@@ -313,7 +228,12 @@ def loss_and_grads(
         )
         row, residual = _cross_entropy_terms(logits, labels[part], label_smoothing)
         rows.append(row)
-        for name, grad in _backward(features[part], cache, residual / n, weights).items():
+        dlogits = residual / n
+        part_grads = {"head.W": cache["pooled"].T @ dlogits, "head.bias": dlogits.sum(axis=0)}
+        dpooled = dlogits @ t["head.W"].T
+        dts = np.broadcast_to(dpooled[:, None, :], (len(logits), cfg.n_frames, cfg.dim))
+        part_grads.update(encode_backward(dts / cfg.n_frames, features[part], t, cache))
+        for name, grad in part_grads.items():
             if name in grads:
                 grads[name] += grad
             else:
@@ -409,8 +329,7 @@ def train(
     cfg = weights.config
     features = np.asarray(features)
     labels = np.asarray(labels)
-    if features.ndim != 3 or features.shape[1:] != (cfg.n_mfcc, cfg.n_frames):
-        raise ValueError("features must be (N, n_mfcc, n_frames)")
+    _check_features(features, cfg)
     if len(labels) != len(features) or len(features) == 0:
         raise ValueError("need one label per example, and at least one example")
     if labels.min() < 0 or labels.max() >= cfg.n_classes:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from audiomlp.cli import main
+from audiomlp.cli import build_parser, main
 from audiomlp.encoder import EncoderConfig, init_weights
 from audiomlp.formats import load_embeddings, load_weights, save_embeddings, save_weights
+from audiomlp.trainer import TrainConfig
 from conftest import make_wav, noise_clip, sine_clip
 
 
@@ -93,6 +95,19 @@ class TestEmbed:
             main(["embed", str(wav), "--weights", str(default_weights_file), "--output", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("geometry", [{"n_mfcc": 20}, {"n_frames": 50}])
+    def test_weights_of_another_feature_geometry_exit_2(self, tmp_path, capsys, geometry):
+        path = tmp_path / "w.kwm1"
+        save_weights(path, init_weights(EncoderConfig(depth=1, **geometry), seed=0))
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(make_wav(sine_clip(440.0)))
+        out = tmp_path / "o.emb1"
+        assert main(["embed", str(wav), "--weights", str(path), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "embed computes (40, 98)" in captured.err
+        assert not out.exists()
+        assert main(["inspect", "--weights", str(path)]) == 0
 
     def test_missing_audio_exits_3(self, tmp_path, default_weights_file):
         code = main(
@@ -306,6 +321,17 @@ class TestTrain:
         )
         assert code == 4
 
+    def test_label_not_below_entry_count_exits_4_before_decoding(self, tmp_path, capsys):
+        manifest = tmp_path / "labels.tsv"
+        manifest.write_text("ghost.wav\t0\nother.wav\t1000000000000\n")
+        code = main(
+            ["train", "--manifest", str(manifest), "--output", str(tmp_path / "m.kwm1")]
+        )
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "largest label 1000000000000" in captured.err
+        assert list(tmp_path.glob("m.*")) == []
+
     def test_manifest_with_missing_wav_exits_3(self, tmp_path):
         manifest = tmp_path / "m.tsv"
         manifest.write_text("ghost.wav\t0\nother.wav\t1\n")
@@ -496,6 +522,17 @@ class TestProbe:
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_in_the_last_update_exits_5(self, tmp_path, capsys):
+        emb_path = tmp_path / "e.emb1"
+        save_embeddings(emb_path, np.random.default_rng(4).standard_normal((6, 8)))
+        labels_path = tmp_path / "labels.txt"
+        labels_path.write_text("0\n1\n0\n1\n0\n1\n")
+        argv = ["probe", "--embeddings", str(emb_path), "--labels", str(labels_path)]
+        assert main(argv + ["--lr", "1e38", "--epochs", "1"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "after the last update" in captured.err
+
     def test_non_integer_labels_exit_5(self, tmp_path):
         emb_path, labels_path = self._write_probe_inputs(tmp_path)
         labels_path.write_text("cat\ndog\n")
@@ -565,6 +602,16 @@ class TestParser:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+    def test_every_train_config_field_has_its_flag(self):
+        required = ["train", "--manifest", "m.tsv", "--output", "m.kwm1"]
+        defaults = build_parser().parse_args(required)
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(defaults, f.name) == f.default, f.name
+            flag = "--" + f.name.replace("_", "-")
+            args = build_parser().parse_args(required + [flag, str(f.default)])
+            value = getattr(args, f.name)
+            assert type(value) is type(f.default) and value == f.default, flag
 
     def test_one_parser_keeps_no_state_between_calls(self, tmp_path, default_weights_file, capsys):
         wav = tmp_path / "a.wav"

@@ -100,6 +100,11 @@ class TestDecodeWav:
         with pytest.raises(NonFiniteWavError):
             decode_wav(make_wav(np.array([0.5, bad, 0.25]), encoding="float32"))
 
+    def test_rate_floor(self):
+        with pytest.raises(UnsupportedWavError, match="below the 1000 Hz floor"):
+            decode_wav(make_wav([0.0, 0.5], rate=999))
+        assert decode_wav(make_wav([0.0, 0.5], rate=1000)).sample_rate == 1000
+
     def test_zero_channels_rejected(self):
         wav = bytearray(make_wav([0.5]))
         fmt_at = bytes(wav).index(b"fmt ") + 8

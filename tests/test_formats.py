@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ class TestWeightsFile:
         write_tensor_table(path, WEIGHTS_MAGIC, table)
         with pytest.raises(FormatError, match="inconsistent"):
             load_weights(path)
+
+    def test_huge_meta_depth_rejected_before_its_shape_table(self, tmp_path):
+        """At depth 10,000 a shape table alone would take about 20 MB."""
+        path = tmp_path / "w.kwm1"
+        save_weights(path, init_weights(TOY, seed=0))
+        table = read_tensor_table(path, WEIGHTS_MAGIC)
+        table["meta"] = np.array([4, 6, 4, 8, 10_000, 3], dtype="<u4")
+        write_tensor_table(path, WEIGHTS_MAGIC, table)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="26 tensors inconsistent with meta depth 10000"):
+                load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_non_f32_weight_tensor_rejected(self, tmp_path):
         w = init_weights(TOY, seed=0)

@@ -14,6 +14,7 @@ from audiomlp.encoder import (
     gelu,
     init_weights,
     layer_norm,
+    layer_norm_backward,
 )
 from audiomlp.trainer import (
     _MICRO_BATCH,
@@ -22,7 +23,6 @@ from audiomlp.trainer import (
     TrainConfig,
     TrainingDivergedError,
     _branch_scales,
-    _layer_norm_bwd,
     adamw_update,
     augment,
     evaluate,
@@ -85,7 +85,7 @@ def _einsum_loss_and_grads(features, labels, weights, label_smoothing, survival,
     dts = np.broadcast_to(
         (dlogits @ t["head.W"].T)[:, None, :], (len(features), cfg.n_frames, cfg.dim)
     ) / cfg.n_frames
-    dx, grads["final_norm.scale"], grads["final_norm.shift"] = _layer_norm_bwd(
+    dx, grads["final_norm.scale"], grads["final_norm.shift"] = layer_norm_backward(
         dts, fc["xhat"], fc["istd"], t["final_norm.scale"]
     )
     for i in reversed(range(cfg.depth)):
@@ -99,7 +99,7 @@ def _einsum_loss_and_grads(features, labels, weights, label_smoothing, survival,
         dmixed = dgated * bc["value"]
         grads[p + "G"] = np.einsum("btd,bud->tu", dmixed, bc["n2"])
         grads[p + "G.bias"] = dmixed.sum(axis=(0, 2))
-        dgate, grads[p + "gate_norm.scale"], grads[p + "gate_norm.shift"] = _layer_norm_bwd(
+        dgate, grads[p + "gate_norm.scale"], grads[p + "gate_norm.shift"] = layer_norm_backward(
             np.matmul(t[p + "G"].T, dmixed), bc["xhat2"], bc["istd2"], t[p + "gate_norm.scale"]
         )
         u = bc["upre"]
@@ -108,7 +108,7 @@ def _einsum_loss_and_grads(features, labels, weights, label_smoothing, survival,
         dupre = np.concatenate([dvalue, dgate], axis=-1) * (cdf + u * pdf)
         grads[p + "U"] = np.einsum("btd,bth->dh", bc["n1"], dupre)
         grads[p + "U.bias"] = dupre.sum(axis=(0, 1))
-        dxpre, grads[p + "pre_norm.scale"], grads[p + "pre_norm.shift"] = _layer_norm_bwd(
+        dxpre, grads[p + "pre_norm.scale"], grads[p + "pre_norm.shift"] = layer_norm_backward(
             dupre @ t[p + "U"].T, bc["xhat1"], bc["istd1"], t[p + "pre_norm.scale"]
         )
         dx = dx + dxpre
@@ -255,7 +255,7 @@ def _np_mean_layer_norm(x, scale, shift):
 
 
 def _np_mean_layer_norm_bwd(dy, xhat, istd, scale):
-    """Oracle: _layer_norm_bwd as np.mean expressions."""
+    """Oracle: layer_norm_backward as np.mean expressions."""
     reduce_axes = tuple(range(dy.ndim - 1))
     dxhat = dy * scale
     dx = istd * (
@@ -267,7 +267,7 @@ def _np_mean_layer_norm_bwd(dy, xhat, istd, scale):
 
 
 class TestLayerNormBits:
-    """layer_norm and _layer_norm_bwd give the np.mean expressions' bits."""
+    """layer_norm and layer_norm_backward give the np.mean expressions' bits."""
 
     @staticmethod
     def _inputs(case, dtype, rng):
@@ -291,7 +291,7 @@ class TestLayerNormBits:
         expected, xhat, istd = _np_mean_layer_norm(x, scale, shift)
         for got, want in ((y, expected), (cache["xhatk"], xhat), (cache["istdk"], istd)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        got = _layer_norm_bwd(dy, xhat, istd, scale)
+        got = layer_norm_backward(dy, xhat, istd, scale)
         for g, want in zip(got, _np_mean_layer_norm_bwd(dy, xhat, istd, scale)):
             assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
 

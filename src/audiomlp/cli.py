@@ -6,16 +6,18 @@ embeddings), inspect (summarize a weights file), interp-demo (image
 downsampling comparison of the two interpolation strategies).
 
 Exit codes: 0 success; 1 usage errors (bad flags, depth beyond the
-model, an unwritable --output or interp-demo --output-dir, a train
---output ending in .opt1 or .csv) and diverged training runs; 2 weight
-files that are unreadable, malformed, non-finite or inconsistent with
-their meta, and for embed weights of another feature geometry than the
+model, a train depth above 1,024, train mask widths wider than the
+feature grid, an interp-demo size above 4,096, an unwritable --output or
+interp-demo --output-dir, a train --output ending in .opt1 or .csv) and
+diverged training runs; 2 weight files that are unreadable, malformed,
+non-finite or inconsistent with their meta (a meta depth above 1,024
+among them), and for embed weights of another feature geometry than the
 front end's; 3 unreadable or undecodable audio, rates below 1 kHz among
 it; 4 manifest problems, among them a label not below the number of
 entries; 5 probe data problems (non-finite embeddings, embeddings and
 labels that do not line up, fewer than two classes, a label not below
-the number of examples, a non-finite --lr, a non-finite loss or final
-logits).
+the number of examples, a non-finite learning rate, more than 65,536
+hidden units, a non-finite loss or final logits).
 Every command prints a single JSON line with its results.
 """
 
@@ -59,13 +61,17 @@ from .formats import (
 )
 from .probe import ProbeConfig, evaluate_probe, train_probe
 from .scene import ALGORITHMS, linear_interp_time, reduce_iterative, scene_embedding
-from .trainer import TrainConfig, TrainingDivergedError, evaluate, train
+from .trainer import TrainConfig, TrainingDivergedError, class_count, evaluate, train
 
 EXIT_USAGE = 1
 EXIT_WEIGHTS = 2
 EXIT_AUDIO = 3
 EXIT_MANIFEST = 4
 EXIT_PROBE = 5
+
+# interp-demo's largest --size. The ring image is size x size float64, 128 MiB
+# at 4,096, and building it holds about three such arrays at once.
+MAX_DEMO_SIZE = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,6 +87,16 @@ class _Parser(argparse.ArgumentParser):
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
+    """One --flag per field of a config dataclass, with the field's type and default."""
+    for f in dataclasses.fields(cls):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+
+
+def _config_from_args(cls, args):
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _decode_at_model_rate(wav_bytes: bytes) -> AudioBuffer:
@@ -164,17 +180,18 @@ def cmd_train(args) -> int:
         entries = load_manifest(args.manifest)
     except (ManifestError, OSError) as exc:
         return _fail(EXIT_MANIFEST, f"cannot read manifest {args.manifest}: {exc}")
-    # the head gets a row per class up to the largest label: check the
-    # labels before any WAV is decoded
-    largest = max(label for _, label in entries)
-    if largest >= len(entries):
-        return _fail(
-            EXIT_MANIFEST,
-            f"largest label {largest} is not below the number of entries ({len(entries)})",
-        )
+    # labels and flags are checked before any WAV is decoded
     labels = np.array([label for _, label in entries])
-    if len(np.unique(labels)) < 2:
-        return _fail(EXIT_MANIFEST, "manifest needs at least two distinct labels")
+    try:
+        n_classes = class_count(labels)
+    except ValueError as exc:
+        return _fail(EXIT_MANIFEST, f"manifest {args.manifest}: {exc}")
+    try:
+        encoder_config = EncoderConfig(depth=args.depth, n_classes=n_classes)
+        train_config = _config_from_args(TrainConfig, args)
+        train_config.check_mask_widths(encoder_config)
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, str(exc))
 
     features = []
     for wav_path, _ in entries:
@@ -186,16 +203,7 @@ def cmd_train(args) -> int:
         # represented by their first second
         features.append(mfcc(pad_and_segment(audio)[0]))
     features = np.stack(features)
-
-    try:
-        encoder_config = EncoderConfig(depth=args.depth, n_classes=largest + 1)
-        train_config = TrainConfig(
-            **{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
-        )
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-
-    weights = init_weights(encoder_config, seed=args.seed)
+    weights = init_weights(encoder_config, seed=train_config.seed)
     output = Path(args.output)
     if output.suffix.lower() in (".opt1", ".csv"):
         return _fail(
@@ -233,7 +241,7 @@ def cmd_train(args) -> int:
         json.dumps(
             {
                 "examples": len(features),
-                "classes": largest + 1,
+                "classes": n_classes,
                 "steps": result.steps,
                 "final_loss": round(result.epoch_losses[-1], 9),
                 "train_accuracy": accuracy,
@@ -257,10 +265,7 @@ def cmd_probe(args) -> int:
     except ValueError:
         return _fail(EXIT_PROBE, f"labels file {args.labels} must hold one integer per line")
     try:
-        config = ProbeConfig(
-            hidden_units=args.hidden_units, epochs=args.epochs, lr=args.lr, seed=args.seed
-        )
-        probe = train_probe(embeddings, labels, config)
+        probe = train_probe(embeddings, labels, _config_from_args(ProbeConfig, args))
     except ValueError as exc:
         return _fail(EXIT_PROBE, str(exc))
     accuracy = evaluate_probe(embeddings, labels, probe)
@@ -314,8 +319,8 @@ def _ring_image(size: int) -> np.ndarray:
 
 def cmd_interp_demo(args) -> int:
     size, target = args.size, args.target
-    if size < 2 or target < 1 or target > size:
-        return _fail(EXIT_USAGE, "need size >= 2 and 1 <= target <= size")
+    if not 2 <= size <= MAX_DEMO_SIZE or not 1 <= target <= size:
+        return _fail(EXIT_USAGE, f"need 2 <= size <= {MAX_DEMO_SIZE} and 1 <= target <= size")
     image = _ring_image(size)
     direct = linear_interp_time(linear_interp_time(image, target).T, target).T
     iterative = reduce_iterative(reduce_iterative(image, target).T, target).T
@@ -366,17 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="lines of wav-path<TAB>label")
     p.add_argument("--output", required=True, help="weights file to write (.opt1/.csv siblings)")
     p.add_argument("--depth", type=int, default=EncoderConfig().depth)
-    for f in dataclasses.fields(TrainConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+    _add_config_flags(p, TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("probe", help="fit a shallow probe on saved embeddings")
     p.add_argument("--embeddings", required=True, help="EMB1 file, one row per example")
     p.add_argument("--labels", required=True, help="text file, one integer label per line")
-    p.add_argument("--hidden-units", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=ProbeConfig().epochs)
-    p.add_argument("--lr", type=float, default=ProbeConfig().lr)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, ProbeConfig)
     p.add_argument("--task", default=None, help="metadata echoed into the result line")
     p.add_argument("--algorithm", default=None, help="metadata echoed into the result line")
     p.add_argument("--depth", type=int, default=None, help="metadata echoed into the result line")

@@ -46,6 +46,11 @@ import numpy as np
 
 LN_EPS = 1e-5
 
+# Blocks at most. One block at the default widths is 34,982 float32 values
+# (140 KB), so 1,024 blocks hold 137 MiB of weights, and training keeps
+# about four times that (weights, gradients, two AdamW moments).
+MAX_DEPTH = 1024
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -62,6 +67,8 @@ class EncoderConfig:
         for name in ("n_mfcc", "n_frames", "dim", "hidden_dim", "depth", "n_classes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.depth > MAX_DEPTH:
+            raise ValueError(f"depth must be at most {MAX_DEPTH}")
         if self.hidden_dim % 2 != 0:
             raise ValueError("hidden_dim must be even (it is split into halves)")
 
@@ -125,6 +132,12 @@ class EncoderWeights:
         )
 
 
+def glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Uniform Glorot draw for a (fan_in, fan_out) float32 matrix."""
+    limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-limit, limit, shape).astype(np.float32)
+
+
 def init_weights(config: EncoderConfig | None = None, seed: int = 0) -> EncoderWeights:
     """Fresh float32 weights.
 
@@ -136,16 +149,11 @@ def init_weights(config: EncoderConfig | None = None, seed: int = 0) -> EncoderW
     if config is None:
         config = EncoderConfig()
     rng = np.random.default_rng(seed)
-
-    def glorot(shape: tuple[int, ...]) -> np.ndarray:
-        limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-limit, limit, shape).astype(np.float32)
-
     tensors: dict[str, np.ndarray] = {}
     for name, shape in tensor_shapes(config).items():
         leaf = name.rsplit(".", 1)[-1]
         if name in ("P0", "head.W") or leaf in ("U", "V"):
-            tensors[name] = glorot(shape)
+            tensors[name] = glorot(rng, shape)
         elif leaf == "G":
             tensors[name] = np.zeros(shape, dtype=np.float32)
         elif name.endswith("G.bias") or leaf == "scale":
@@ -476,6 +484,13 @@ def encode_backward(
     return grads
 
 
+def check_features(features: np.ndarray, cfg: EncoderConfig, batched: bool = False) -> None:
+    """ValueError unless features is one (n_mfcc, n_frames) grid, or a (B, ...) batch of them."""
+    if features.ndim != 2 + batched or features.shape[-2:] != (cfg.n_mfcc, cfg.n_frames):
+        lead = "B, " if batched else ""
+        raise ValueError(f"features shape {features.shape} != ({lead}{cfg.n_mfcc}, {cfg.n_frames})")
+
+
 def extract_timestamps(
     features: np.ndarray, weights: EncoderWeights, depth: int | None = None
 ) -> np.ndarray:
@@ -486,10 +501,7 @@ def extract_timestamps(
     live on the same scale.
     """
     config = weights.config
-    if features.shape != (config.n_mfcc, config.n_frames):
-        raise ValueError(
-            f"features shape {features.shape} != ({config.n_mfcc}, {config.n_frames})"
-        )
+    check_features(features, config)
     if depth is None:
         depth = config.depth
     if not 0 <= depth <= config.depth:

@@ -14,8 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import gelu, gelu_with_grad
-from .trainer import adamw_update, init_adamw_state, smoothed_cross_entropy
+from .encoder import gelu, gelu_with_grad, glorot
+from .trainer import adamw_update, class_count, init_adamw_state, smoothed_cross_entropy
+
+# Hidden units at most. W1 is (features, hidden_units) float32: at the
+# 1,024-wide scene embedding and 65,536 units that is 256 MiB, and a fit
+# keeps about four such arrays (W1, its gradient, two AdamW moments).
+MAX_HIDDEN_UNITS = 65536
 
 
 @dataclass
@@ -26,8 +31,8 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_units < 0:
-            raise ValueError("hidden_units must be non-negative")
+        if not 0 <= self.hidden_units <= MAX_HIDDEN_UNITS:
+            raise ValueError(f"hidden_units must lie in [0, {MAX_HIDDEN_UNITS}]")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
         if not 0 < self.lr < math.inf:
@@ -44,21 +49,16 @@ class ProbeWeights:
 
 def init_probe(n_features: int, n_classes: int, config: ProbeConfig) -> ProbeWeights:
     rng = np.random.default_rng(config.seed)
-
-    def glorot(shape):
-        limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-limit, limit, shape).astype(np.float32)
-
     if config.hidden_units == 0:
         tensors = {
-            "W": glorot((n_features, n_classes)),
+            "W": glorot(rng, (n_features, n_classes)),
             "b": np.zeros(n_classes, dtype=np.float32),
         }
     else:
         tensors = {
-            "W1": glorot((n_features, config.hidden_units)),
+            "W1": glorot(rng, (n_features, config.hidden_units)),
             "b1": np.zeros(config.hidden_units, dtype=np.float32),
-            "W2": glorot((config.hidden_units, n_classes)),
+            "W2": glorot(rng, (config.hidden_units, n_classes)),
             "b2": np.zeros(n_classes, dtype=np.float32),
         }
     return ProbeWeights(n_features, n_classes, config.hidden_units, tensors)
@@ -71,31 +71,32 @@ def probe_logits(embeddings: np.ndarray, probe: ProbeWeights) -> np.ndarray:
             f"embeddings shape {embeddings.shape} incompatible with "
             f"{probe.n_features}-feature probe"
         )
+    return _forward(embeddings, probe)[0]
+
+
+def _forward(embeddings, probe, with_grad=False):
+    """(logits, hidden, dgelu): hidden is None for a linear probe, dgelu without with_grad."""
     t = probe.tensors
     if probe.hidden_units == 0:
-        return embeddings @ t["W"] + t["b"]
-    hidden = gelu(embeddings @ t["W1"] + t["b1"])
-    return hidden @ t["W2"] + t["b2"]
+        return embeddings @ t["W"] + t["b"], None, None
+    pre = embeddings @ t["W1"] + t["b1"]
+    hidden, dgelu = gelu_with_grad(pre) if with_grad else (gelu(pre), None)
+    return hidden @ t["W2"] + t["b2"], hidden, dgelu
 
 
 def _probe_grads(embeddings, labels, probe):
-    t = probe.tensors
-    if probe.hidden_units == 0:
-        logits = embeddings @ t["W"] + t["b"]
-        loss, dlogits = smoothed_cross_entropy(logits, labels, 0.0)
-        return loss, {"W": embeddings.T @ dlogits, "b": dlogits.sum(axis=0)}
-    hidden, dgelu = gelu_with_grad(embeddings @ t["W1"] + t["b1"])
-    logits = hidden @ t["W2"] + t["b2"]
+    logits, hidden, dgelu = _forward(embeddings, probe, with_grad=True)
     loss, dlogits = smoothed_cross_entropy(logits, labels, 0.0)
-    dhidden = dlogits @ t["W2"].T
+    if hidden is None:
+        return loss, {"W": embeddings.T @ dlogits, "b": dlogits.sum(axis=0)}
+    dhidden = dlogits @ probe.tensors["W2"].T
     dpre = dhidden * dgelu
-    grads = {
+    return loss, {
         "W2": hidden.T @ dlogits,
         "b2": dlogits.sum(axis=0),
         "W1": embeddings.T @ dpre,
         "b1": dpre.sum(axis=0),
     }
-    return loss, grads
 
 
 def train_probe(
@@ -116,15 +117,7 @@ def train_probe(
         raise ValueError("embeddings must be a 2-D (examples, features) matrix")
     if len(labels) != len(embeddings) or len(embeddings) == 0:
         raise ValueError("need one label per embedding, and at least one example")
-    if labels.min() < 0:
-        raise ValueError("labels must be non-negative")
-    if len(np.unique(labels)) < 2:
-        raise ValueError("probe training needs at least two distinct labels")
-    if labels.max() >= len(labels):
-        raise ValueError(
-            f"largest label {labels.max()} is not below the number of examples ({len(labels)})"
-        )
-    n_classes = int(labels.max()) + 1
+    n_classes = class_count(labels)
 
     probe = init_probe(embeddings.shape[1], n_classes, config)
     state = init_adamw_state(probe.tensors)

@@ -48,19 +48,22 @@ def linear_interp_time(x: np.ndarray, target_len: int) -> np.ndarray:
     return x[lo] * (1.0 - frac) + x[hi] * frac
 
 
-def num_interp_steps(n_frames: int, scene_frames: int) -> int:
-    """Halving passes needed to bring n_frames down to scene_frames.
+def _halvings(n_frames: int, scene_frames: int):
+    """Frame count after each pass: ceiling halves, the last clamped to scene_frames."""
+    while n_frames > scene_frames:
+        n_frames = max(scene_frames, (n_frames + 1) // 2)
+        yield n_frames
 
-    Computed by integer ceiling-halving, which matches
+
+def num_interp_steps(n_frames: int, scene_frames: int) -> int:
+    """Halving passes reduce_iterative makes to bring n_frames down to scene_frames.
+
+    Counted by integer ceiling-halving, which matches
     ceil(log2(n_frames / scene_frames)) without any float logs.
     """
     if n_frames < 1 or scene_frames < 1:
         raise ValueError("frame counts must be positive")
-    steps, n = 0, n_frames
-    while n > scene_frames:
-        n = (n + 1) // 2
-        steps += 1
-    return steps
+    return sum(1 for _ in _halvings(n_frames, scene_frames))
 
 
 def reduce_mean(timestamps: np.ndarray, scene_frames: int = SCENE_FRAMES) -> np.ndarray:
@@ -90,9 +93,8 @@ def reduce_iterative(timestamps: np.ndarray, scene_frames: int = SCENE_FRAMES) -
     n = timestamps.shape[0]
     if n <= scene_frames:
         return linear_interp_time(timestamps, scene_frames)
-    out, m = timestamps, n
-    while m > scene_frames:
-        m = max(scene_frames, (m + 1) // 2)
+    out = timestamps
+    for m in _halvings(n, scene_frames):
         out = linear_interp_time(out, m)
     return out
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncoderConfig, EncoderWeights, encode, encode_backward
+from .encoder import EncoderConfig, EncoderWeights, check_features, encode, encode_backward
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -87,6 +87,31 @@ class TrainConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
+    def check_mask_widths(self, cfg: EncoderConfig) -> None:
+        """ValueError if a mask can be wider than cfg's (n_mfcc, n_frames) feature grid."""
+        if (self.time_masks > 0 and self.time_mask_width > cfg.n_frames) or (
+            self.freq_masks > 0 and self.freq_mask_width > cfg.n_mfcc
+        ):
+            grid = f"{cfg.n_mfcc}x{cfg.n_frames}"
+            raise ValueError(f"mask widths cannot exceed the {grid} feature grid")
+
+
+def class_count(labels: np.ndarray) -> int:
+    """Largest label + 1, checked before anything is sized by it: ValueError
+    unless labels are non-negative, below their count and not all equal.
+    """
+    labels = np.asarray(labels)
+    if labels.min() < 0:
+        raise ValueError("labels must be non-negative")
+    largest = int(labels.max())
+    if largest >= len(labels):
+        raise ValueError(
+            f"largest label {largest} is not below the number of examples ({len(labels)})"
+        )
+    if len(np.unique(labels)) < 2:
+        raise ValueError("training needs at least two distinct labels")
+    return largest + 1
+
 
 def augment(features: np.ndarray, rng: np.random.Generator, config: TrainConfig) -> np.ndarray:
     """Mask random time columns and frequency rows of one (F, T) example.
@@ -137,13 +162,6 @@ def smoothed_cross_entropy(
     return float(-rows.mean()), residual / len(logits)
 
 
-def _check_features(features: np.ndarray, cfg: EncoderConfig) -> None:
-    if features.ndim != 3 or features.shape[1:] != (cfg.n_mfcc, cfg.n_frames):
-        raise ValueError(
-            f"features shape {features.shape} != (B, {cfg.n_mfcc}, {cfg.n_frames})"
-        )
-
-
 def _branch_scales(
     features: np.ndarray,
     weights: EncoderWeights,
@@ -185,7 +203,7 @@ def forward_batch(
     """
     cfg = weights.config
     t = weights.tensors
-    _check_features(features, cfg)
+    check_features(features, cfg, batched=True)
     cache: dict = {}
     ts = encode(features, t, cfg.depth, scales=scales, cache=cache)
     cache["pooled"] = ts.mean(axis=1)
@@ -212,7 +230,7 @@ def loss_and_grads(
     dlogits is divided by the whole batch's size.
     """
     cfg, t = weights.config, weights.tensors
-    _check_features(features, cfg)
+    check_features(features, cfg, batched=True)
     n = len(features)
     if n == 0:
         raise ValueError("empty batch")
@@ -329,15 +347,12 @@ def train(
     cfg = weights.config
     features = np.asarray(features)
     labels = np.asarray(labels)
-    _check_features(features, cfg)
+    check_features(features, cfg, batched=True)
     if len(labels) != len(features) or len(features) == 0:
         raise ValueError("need one label per example, and at least one example")
     if labels.min() < 0 or labels.max() >= cfg.n_classes:
         raise ValueError(f"labels must lie in [0, {cfg.n_classes})")
-    if (config.time_masks > 0 and config.time_mask_width > cfg.n_frames) or (
-        config.freq_masks > 0 and config.freq_mask_width > cfg.n_mfcc
-    ):
-        raise ValueError("mask widths cannot exceed the feature grid")
+    config.check_mask_widths(cfg)
 
     rng = np.random.default_rng(config.seed)
     state = init_adamw_state(weights.tensors)
@@ -380,10 +395,10 @@ def predict(features: np.ndarray, weights: EncoderWeights) -> np.ndarray:
     """
     cfg = weights.config
     t = weights.tensors
+    check_features(features, cfg, batched=True)
     out = []
     for lo in range(0, len(features), _MICRO_BATCH):
         batch = features[lo : lo + _MICRO_BATCH]
-        _check_features(batch, cfg)
         logits = encode(batch, t, cfg.depth).mean(axis=1) @ t["head.W"] + t["head.bias"]
         out.append(np.argmax(logits, axis=1))
     return np.concatenate(out)

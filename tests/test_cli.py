@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -9,8 +10,16 @@ import numpy as np
 import pytest
 
 from audiomlp.cli import build_parser, main
-from audiomlp.encoder import EncoderConfig, init_weights
-from audiomlp.formats import load_embeddings, load_weights, save_embeddings, save_weights
+from audiomlp.encoder import MAX_DEPTH, EncoderConfig, init_weights
+from audiomlp.formats import (
+    WEIGHTS_MAGIC,
+    load_embeddings,
+    load_weights,
+    save_embeddings,
+    save_weights,
+    write_tensor_table,
+)
+from audiomlp.probe import ProbeConfig
 from audiomlp.trainer import TrainConfig
 from conftest import make_wav, noise_clip, sine_clip
 
@@ -332,6 +341,18 @@ class TestTrain:
         assert captured.out == "" and "largest label 1000000000000" in captured.err
         assert list(tmp_path.glob("m.*")) == []
 
+    @pytest.mark.parametrize("flag, width", [("--time-mask-width", "500"), ("--freq-mask-width", "41")])
+    def test_mask_wider_than_the_feature_grid_exits_1_and_writes_nothing(
+        self, tmp_path, capsys, flag, width
+    ):
+        manifest = write_tiny_dataset(tmp_path)
+        out = tmp_path / "m.kwm1"
+        assert main(["train", "--manifest", str(manifest), "--output", str(out), flag, width]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mask widths cannot exceed the 40x98 feature grid" in captured.err
+        assert list(tmp_path.glob("m.*")) == []
+
     def test_manifest_with_missing_wav_exits_3(self, tmp_path):
         manifest = tmp_path / "m.tsv"
         manifest.write_text("ghost.wav\t0\nother.wav\t1\n")
@@ -553,6 +574,23 @@ class TestInspect:
         junk.write_bytes(b"\x00" * 64)
         assert main(["inspect", "--weights", str(junk)]) == 2
 
+    def test_meta_depth_above_the_bound_exits_2(self, tmp_path, capsys):
+        # a table that is whole for its depth, with toy widths so it stays small
+        toy = init_weights(EncoderConfig(n_mfcc=4, n_frames=6, dim=4, hidden_dim=8, depth=1))
+        depth = MAX_DEPTH + 1
+        table = {"meta": np.array([4, 6, 4, 8, depth, 35], dtype="<u4")}
+        for name, tensor in toy.tensors.items():
+            if name.startswith("block.0."):
+                for i in range(depth):
+                    table[f"block.{i}." + name.removeprefix("block.0.")] = tensor
+            else:
+                table[name] = tensor
+        path = tmp_path / "deep.kwm1"
+        write_tensor_table(path, WEIGHTS_MAGIC, table)
+        assert main(["inspect", "--weights", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"depth must be at most {MAX_DEPTH}" in captured.err
+
 
 class TestInterpDemo:
     def test_writes_images_and_json(self, tmp_path, capsys):
@@ -603,10 +641,17 @@ class TestParser:
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
 
-    def test_every_train_config_field_has_its_flag(self):
-        required = ["train", "--manifest", "m.tsv", "--output", "m.kwm1"]
+    @pytest.mark.parametrize(
+        "config_class, required",
+        [
+            (TrainConfig, ["train", "--manifest", "m.tsv", "--output", "m.kwm1"]),
+            (ProbeConfig, ["probe", "--embeddings", "e.emb1", "--labels", "l.txt"]),
+        ],
+        ids=["train", "probe"],
+    )
+    def test_every_config_field_has_its_flag(self, config_class, required):
         defaults = build_parser().parse_args(required)
-        for f in dataclasses.fields(TrainConfig):
+        for f in dataclasses.fields(config_class):
             assert getattr(defaults, f.name) == f.default, f.name
             flag = "--" + f.name.replace("_", "-")
             args = build_parser().parse_args(required + [flag, str(f.default)])
@@ -655,3 +700,53 @@ class TestParser:
         )
         assert result.returncode == 0
         assert "embed" in result.stdout and "interp-demo" in result.stdout
+
+
+def main_in_capped_child(argv, cwd):
+    """main(argv) in a child process whose address space is capped at 1.5 GiB.
+
+    An allocation that the size flags fail to bound then ends in that child,
+    not on the host that runs the tests.
+    """
+    cap = 3 * 2**29
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from audiomlp.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+class TestSizeFlags:
+    """Each size flag is bounded before anything of that size is allocated."""
+
+    @pytest.mark.parametrize(
+        "case, expected_code, bound",
+        [
+            ("probe --hidden-units 1000000000000", 5, "65536"),
+            ("interp-demo --size 200000", 1, "4096"),
+            ("train --depth 100000000", 1, "1024"),
+        ],
+        ids=["probe-hidden-units", "interp-demo-size", "train-depth"],
+    )
+    def test_rejected_with_its_exit_code(self, tmp_path, case, expected_code, bound):
+        command, *flags = case.split()
+        if command == "probe":
+            save_embeddings(tmp_path / "e.emb1", np.random.default_rng(5).standard_normal((6, 8)))
+            (tmp_path / "labels.txt").write_text("0\n1\n0\n1\n0\n1\n")
+            argv = ["probe", "--embeddings", "e.emb1", "--labels", "labels.txt"]
+        elif command == "train":
+            manifest = write_tiny_dataset(tmp_path, n_per_class=1)
+            argv = ["train", "--manifest", str(manifest), "--output", "m.kwm1"]
+        else:
+            argv = ["interp-demo", "--output-dir", "out"]
+        result = main_in_capped_child(argv + flags, tmp_path)
+        assert "Traceback" not in result.stderr
+        assert result.returncode == expected_code, result.stderr
+        assert result.stdout == "" and bound in result.stderr
+        assert not (tmp_path / "out").exists() and list(tmp_path.glob("m.*")) == []

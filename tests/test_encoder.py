@@ -14,6 +14,7 @@ from audiomlp import encoder
 from audiomlp.encoder import (
     _GELU_CHUNK,
     LN_EPS,
+    MAX_DEPTH,
     EncoderConfig,
     EncoderWeights,
     _normal_cdf,
@@ -52,6 +53,11 @@ class TestConfig:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             EncoderConfig(depth=0)
+
+    def test_rejects_depth_above_the_bound(self):
+        assert EncoderConfig(depth=MAX_DEPTH).depth == MAX_DEPTH
+        with pytest.raises(ValueError, match="depth must be at most 1024"):
+            EncoderConfig(depth=MAX_DEPTH + 1)
 
 
 class TestInit:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from audiomlp.probe import (
+    MAX_HIDDEN_UNITS,
     ProbeConfig,
     evaluate_probe,
     init_probe,
@@ -47,6 +48,7 @@ class TestConfig:
             {"lr": 0.0},
             {"lr": float("nan")},
             {"lr": float("inf")},
+            {"hidden_units": MAX_HIDDEN_UNITS + 1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -132,13 +132,19 @@ class TestReducers:
             expected = linear_interp_time(expected, m)
         np.testing.assert_array_equal(reduce_iterative(ts, 16), expected)
 
-    def test_iterative_pass_count_matches_num_interp_steps(self):
-        for n in (17, 31, 98, 100, 490, 1600):
-            m, passes = n, 0
-            while m > 16:
-                m = max(16, (m + 1) // 2)
-                passes += 1
-            assert passes == num_interp_steps(n, 16)
+    def test_iterative_pass_count_matches_num_interp_steps(self, monkeypatch):
+        passes = []
+
+        def counted(x, target_len):
+            passes.append(target_len)
+            return linear_interp_time(x, target_len)
+
+        monkeypatch.setattr("audiomlp.scene.linear_interp_time", counted)
+        for n in range(17, 2001):
+            passes.clear()
+            reduce_iterative(np.zeros((n, 1)), 16)
+            assert len(passes) == num_interp_steps(n, 16), n
+            assert passes[-1] == 16 and all(a > b for a, b in zip(passes, passes[1:])), n
 
     def test_iterative_upsamples_in_one_pass(self):
         ts = np.random.default_rng(22).standard_normal((10, 4))

@@ -7,17 +7,20 @@ downsampling comparison of the two interpolation strategies).
 
 Exit codes: 0 success; 1 usage errors (bad flags, depth beyond the
 model, a train depth above 1,024, train mask widths wider than the
-feature grid, an interp-demo size above 4,096, an unwritable --output or
-interp-demo --output-dir, a train --output ending in .opt1 or .csv) and
-diverged training runs; 2 weight files that are unreadable, malformed,
-non-finite or inconsistent with their meta (a meta depth above 1,024
-among them), and for embed weights of another feature geometry than the
-front end's; 3 unreadable or undecodable audio, rates below 1 kHz among
-it; 4 manifest problems, among them a label not below the number of
-entries; 5 probe data problems (non-finite embeddings, embeddings and
-labels that do not line up, fewer than two classes, a label not below
-the number of examples, a non-finite learning rate, more than 65,536
-hidden units, a non-finite loss or final logits).
+feature grid, more train time masks than frames (98) or frequency masks
+than coefficients (40), an interp-demo size above 4,096, an unwritable
+--output or interp-demo --output-dir, a train --output ending in .opt1
+or .csv) and diverged training runs; 2 weight files that are
+unreadable, malformed, non-finite or inconsistent with their meta (a
+meta depth above 1,024 among them), and for embed weights of another
+feature geometry than the front end's or finite weights whose
+embeddings overflow to NaN or Inf (nothing is written); 3 unreadable or
+undecodable audio, rates below 1 kHz among it; 4 manifest problems,
+among them a label not below the number of entries; 5 probe data
+problems (non-finite embeddings, embeddings and labels that do not line
+up, fewer than two classes, a label not below the number of examples, a
+non-finite learning rate, more than 65,536 hidden units, a non-finite
+loss or final logits).
 Every command prints a single JSON line with its results.
 """
 
@@ -69,8 +72,8 @@ EXIT_AUDIO = 3
 EXIT_MANIFEST = 4
 EXIT_PROBE = 5
 
-# interp-demo's largest --size. The ring image is size x size float64, 128 MiB
-# at 4,096, and building it holds about three such arrays at once.
+# interp-demo's largest --size. The ring image is size x size uint8, 16 MiB at
+# 4,096; building it holds one size x size float64 distance array (128 MiB).
 MAX_DEMO_SIZE = 4096
 
 
@@ -154,6 +157,11 @@ def cmd_embed(args) -> int:
         embeddings = encode_audio(wav_bytes, weights, args.algorithm, depth)
     except (OSError, DecodeError) as exc:
         return _fail(EXIT_AUDIO, f"cannot embed {args.audio}: {exc}")
+    # finite weights can still overflow in the encoder
+    if not np.isfinite(embeddings).all():
+        return _fail(
+            EXIT_WEIGHTS, f"weights {args.weights} give NaN or infinite embeddings of {args.audio}"
+        )
     try:
         if args.format == "csv":
             write_file_atomic(args.output, format_embeddings_csv(embeddings).encode("ascii"))
@@ -309,12 +317,16 @@ def cmd_inspect(args) -> int:
 
 
 def _ring_image(size: int) -> np.ndarray:
-    """A one-pixel-wide white (255) circle on black, radius 0.4 * size."""
+    """A one-pixel-wide white (255) circle on black, radius 0.4 * size, as uint8."""
     center = (size - 1) / 2.0
     radius = 0.4 * size
     coords = np.arange(size) - center
     dist = np.hypot(coords[:, None], coords[None, :])
-    return np.where(np.abs(dist - radius) <= 0.5, 255.0, 0.0)
+    dist -= radius
+    np.absolute(dist, out=dist)
+    ring = (dist <= 0.5).view(np.uint8)
+    ring *= 255
+    return ring
 
 
 def cmd_interp_demo(args) -> int:

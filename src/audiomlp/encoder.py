@@ -19,18 +19,19 @@ derivative "dgelu", a copy of the value half "value", the mixed gate
 final norm's statistics are "xhat_f" and "istd_f". The norm outputs are
 recomputed from xhat rather than kept, with the same bits.
 
-GELU is exact, u * Phi(u) (Hendrycks & Gimpel, arXiv 1606.08415). Phi
-comes from a numpy kernel in one of two forms, picked by dtype, with
-coefficients fitted by tools/fit_erfc.py and evaluated by Horner's rule.
-float32 computes Phi(u) = 1/2 + 1/2 * tanh(u * Q(min(u*u, 36))) with a
-7-term polynomial Q, through numpy's SIMD float32 tanh. float64, the
-dtype of the gradient checks, computes erfc(z) = t * exp(-z*z + P(2t - 1))
-with t = 2 / (2 + z) and P a 22-term Chebyshev series. The kernel runs
-over the flattened input in blocks of _GELU_CHUNK elements, every step in
-place in four reused scratch rows, so its memory beyond the outputs does
-not grow with the batch. Layer norm and its backward pass take their row
-means as np.mean does (a pairwise sum, then a division) but without
-np.mean's Python wrapper, and work in place, with the same bits.
+GELU is exact, u * Phi(u) (Hendrycks & Gimpel, arXiv 1606.08415). float32,
+the dtype of embedding and training, computes Phi(u) = 1/2 + 1/2 *
+tanh(u * Q(min(u*u, 36))) through numpy's SIMD float32 tanh, with a
+7-term polynomial Q fitted by tools/fit_erfc.py and evaluated by Horner's
+rule. Other dtypes (float64 is the dtype of the gradient checks) take
+Phi(u) = erfc(-u / sqrt 2) / 2 from the standard library's math.erfc,
+which is exact to about one ulp and needs no fitted table. The kernel
+runs over the flattened input in blocks of _GELU_CHUNK elements, every
+step in place in four reused scratch rows, so its memory beyond the
+outputs does not grow with the batch. Layer norm and its backward pass
+take their row means as np.mean does (a pairwise sum, then a division)
+but without np.mean's Python wrapper, and work in place, with the same
+bits.
 
 Weights live in a flat dict of named float32 arrays. The names double as
 the on-disk tensor names, the optimizer state keys and the gradient keys,
@@ -163,33 +164,8 @@ def init_weights(config: EncoderConfig | None = None, seed: int = 0) -> EncoderW
     return EncoderWeights(config, tensors)
 
 
-# Printed by tools/fit_erfc.py. float64: P(x) = sum_j a[j] x^j, the
-# Chebyshev fit of the erfc form written in the power basis. float32:
-# Q(s) = sum_j b[j] s^j of the tanh form, s = min(u*u, 36).
-_ERFC_POLY_FLOAT64 = (
-    -0.67179408405669,
-    0.672643223977822,
-    0.04734330684131619,
-    -0.046895610245702636,
-    -0.009872689339046403,
-    0.008824938934836563,
-    0.0017589330540381987,
-    -0.0023458170355055803,
-    -0.00014624202808531488,
-    0.0006737090247067575,
-    -9.376263973073957e-05,
-    -0.00017442588946048787,
-    7.150187066219844e-05,
-    3.206545092694982e-05,
-    -3.0433224591508434e-05,
-    -4.0622831276593274e-07,
-    8.967101290807689e-06,
-    -2.353032052967996e-06,
-    -1.7235125842063326e-06,
-    8.549695948434355e-07,
-    1.641910998273488e-07,
-    -1.1818453660161765e-07,
-)
+# Printed by tools/fit_erfc.py: Q(s) = sum_j b[j] s^j of the float32 tanh
+# form of Phi, s = min(u*u, 36).
 # Largest error in 2 * Phi of the tanh form, |u| <= 12: 5.8e-08
 _TANH_POLY_FLOAT32 = (
     0.7978849417012193,
@@ -206,6 +182,9 @@ _TANH_POLY_FLOAT32 = (
 # mmap, slower than the arithmetic it holds).
 _GELU_CHUNK = 1 << 15
 
+# math.erfc, element by element, as a numpy ufunc with object outputs
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
 
 def _horner(x: np.ndarray, poly: tuple[float, ...], acc: np.ndarray) -> None:
     """acc = sum_j poly[j] x^j, in place."""
@@ -219,11 +198,13 @@ def _horner(x: np.ndarray, poly: tuple[float, ...], acc: np.ndarray) -> None:
 def _normal_cdf(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Phi(u) for a 1-d block u, returned in rows[3].
 
-    rows is a (4, len(u)) array of u's dtype; every step writes into a row
-    in place (out=), and rows[0..2] are free again on return. float32 uses
-    the tanh form, other dtypes the erfc form.
+    rows is a (4, len(u)) array of u's dtype; every step writes into
+    rows[1] or rows[3] in place (out=), and rows[0..2] are free again on
+    return. float32 uses the fitted tanh form; other dtypes take
+    Phi(u) = erfc(-u / sqrt 2) / 2 from the standard library's math.erfc,
+    one Python call per element.
     """
-    z, s, x, acc = rows
+    s, acc = rows[1], rows[3]
     if u.dtype == np.float32:
         # Phi(u) = 1/2 + 1/2 tanh(u Q(s)), s = min(u^2, 36), Q fitted to
         # atanh(erf(u / sqrt 2)) / u. Past |u| = 6, |u Q(36)| > 10: Phi is 0 or 1
@@ -235,23 +216,9 @@ def _normal_cdf(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
         acc *= 0.5
         acc += 0.5
         return acc
-    # z = |u| / sqrt 2, s = 2 + z and x = 2t - 1 = 4 / s - 1
-    np.multiply(u, 1.0 / math.sqrt(2.0), out=z)
-    np.absolute(z, out=z)
-    np.add(z, 2.0, out=s)
-    np.divide(4.0, s, out=x)
-    x -= 1.0
-    # P(x) - z^2
-    _horner(x, _ERFC_POLY_FLOAT64, acc)
-    np.multiply(z, z, out=x)
-    acc -= x
-    # erfc(z) / 2 = t / 2 * exp(P(x) - z^2) = exp(P(x) - z^2) / s
-    np.exp(acc, out=acc)
-    acc /= s
-    # Phi(u) = 1/2 + sign(u) * (1/2 - erfc(z) / 2)
-    np.subtract(0.5, acc, out=acc)
-    np.copysign(acc, u, out=acc)
-    acc += 0.5
+    np.divide(u, -math.sqrt(2.0), out=s)
+    _erfc(s, out=acc, casting="unsafe")
+    acc *= 0.5
     return acc
 
 

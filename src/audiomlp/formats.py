@@ -39,6 +39,7 @@ _U8_PAIR = struct.Struct("<BB")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _DIMS = [struct.Struct(f"<{rank}I") for rank in range(_MAX_RANK + 1)]
+_EMB1_SHAPE = struct.Struct("<II")
 
 
 class FormatError(ValueError):
@@ -82,15 +83,17 @@ def why_unwritable(path) -> str | None:
 def write_tensor_table(path, magic: bytes, tensors: dict[str, np.ndarray]) -> None:
     """Serialize named tensors in dict order; dtypes are forced to f32/u32."""
     blob = bytearray(magic)
-    blob += struct.pack("<I", len(tensors))
+    blob += _U32.pack(len(tensors))
     for name, tensor in tensors.items():
         arr = np.ascontiguousarray(tensor)
+        if arr.ndim > _MAX_RANK:
+            raise ValueError(f"rank {arr.ndim} too large for tensor {name!r}")
         code = 1 if arr.dtype.kind in "ui" else 0
         arr = arr.astype(_DTYPE_FOR_CODE[code], copy=False)
         encoded = name.encode("utf-8")
-        blob += struct.pack("<H", len(encoded)) + encoded
-        blob += struct.pack("<BB", code, arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
+        blob += _U16.pack(len(encoded)) + encoded
+        blob += _U8_PAIR.pack(code, arr.ndim)
+        blob += _DIMS[arr.ndim].pack(*arr.shape)
         blob += arr.tobytes()
     write_file_atomic(path, bytes(blob))
 
@@ -230,14 +233,14 @@ def save_embeddings(path, matrix: np.ndarray) -> None:
         raise ValueError("embeddings must be a row-per-example matrix")
     rows, cols = matrix.shape
     payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
-    write_file_atomic(path, EMBEDDINGS_MAGIC + struct.pack("<II", rows, cols) + payload)
+    write_file_atomic(path, EMBEDDINGS_MAGIC + _EMB1_SHAPE.pack(rows, cols) + payload)
 
 
 def load_embeddings(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != EMBEDDINGS_MAGIC:
         raise FormatError("not an EMB1 embeddings file")
-    rows, cols = struct.unpack("<II", data[4:12])
+    rows, cols = _EMB1_SHAPE.unpack_from(data, 4)
     expected = 12 + rows * cols * 4
     if len(data) != expected:
         raise FormatError(f"embeddings payload is {len(data) - 12} bytes, expected {expected - 12}")

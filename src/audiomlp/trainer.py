@@ -88,12 +88,20 @@ class TrainConfig:
                 raise ValueError(f"{name} must be non-negative")
 
     def check_mask_widths(self, cfg: EncoderConfig) -> None:
-        """ValueError if a mask can be wider than cfg's (n_mfcc, n_frames) feature grid."""
+        """ValueError if a mask can be wider than cfg's (n_mfcc, n_frames) feature
+        grid, or if there are more time masks than frames or more frequency
+        masks than coefficients (each mask is one draw per example per step).
+        """
+        grid = f"{cfg.n_mfcc}x{cfg.n_frames}"
         if (self.time_masks > 0 and self.time_mask_width > cfg.n_frames) or (
             self.freq_masks > 0 and self.freq_mask_width > cfg.n_mfcc
         ):
-            grid = f"{cfg.n_mfcc}x{cfg.n_frames}"
             raise ValueError(f"mask widths cannot exceed the {grid} feature grid")
+        if self.time_masks > cfg.n_frames or self.freq_masks > cfg.n_mfcc:
+            raise ValueError(
+                f"the {grid} feature grid takes at most {cfg.n_frames} time masks "
+                f"and {cfg.n_mfcc} frequency masks"
+            )
 
 
 def class_count(labels: np.ndarray) -> int:

@@ -203,6 +203,26 @@ class TestEmbed:
         assert not out.exists()
         assert main(["inspect", "--weights", str(bad)]) == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["emb1", "csv"])
+    def test_finite_weights_that_overflow_exit_2_and_write_nothing(self, tmp_path, capsys, fmt):
+        weights = init_weights(EncoderConfig(depth=2), seed=0)
+        weights.tensors["block.0.U"] *= 3e38  # every value is still finite
+        huge = tmp_path / "huge.kwm1"
+        save_weights(huge, weights)
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(make_wav(sine_clip(440.0)))
+        out = tmp_path / f"o.{fmt}"
+        out.write_bytes(b"old contents")
+        code = main(
+            ["embed", str(wav), "--weights", str(huge), "--output", str(out), "--format", fmt]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "NaN or infinite embeddings" in captured.err
+        assert out.read_bytes() == b"old contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", "huge.kwm1", f"o.{fmt}"]
+
     @pytest.mark.parametrize("fmt", ["emb1", "csv"])
     def test_unwritable_output_exits_1(self, tmp_path, default_weights_file, capsys, fmt):
         wav = tmp_path / "a.wav"
@@ -351,6 +371,18 @@ class TestTrain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "mask widths cannot exceed the 40x98 feature grid" in captured.err
+        assert list(tmp_path.glob("m.*")) == []
+
+    @pytest.mark.parametrize("flag, count", [("--time-masks", "99"), ("--freq-masks", "41")])
+    def test_more_masks_than_the_feature_grid_exits_1_and_writes_nothing(
+        self, tmp_path, capsys, flag, count
+    ):
+        manifest = write_tiny_dataset(tmp_path)
+        out = tmp_path / "m.kwm1"
+        assert main(["train", "--manifest", str(manifest), "--output", str(out), flag, count]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "takes at most 98 time masks and 40 frequency masks" in captured.err
         assert list(tmp_path.glob("m.*")) == []
 
     def test_manifest_with_missing_wav_exits_3(self, tmp_path):

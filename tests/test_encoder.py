@@ -157,7 +157,7 @@ class TestPrimitives:
 
 
 class TestGeluKernel:
-    @pytest.mark.parametrize("dtype, bound", [(np.float32, 4.8e-7), (np.float64, 1e-14)])
+    @pytest.mark.parametrize("dtype, bound", [(np.float32, 4.8e-7), (np.float64, 4.5e-16)])
     def test_cdf_matches_math_erf(self, dtype, bound):
         # bounds on the error of 2 * Phi; 4.8e-7 is two float32 ulps at 2
         u = np.linspace(-12.0, 12.0, 240_001).astype(dtype)
@@ -241,7 +241,7 @@ class TestGeluKernel:
             [sys.executable, str(ROOT / "tools" / "fit_erfc.py")],
             capture_output=True, text=True, check=True,
         ).stdout
-        assert "_TANH_POLY_FLOAT32 = (" in fitted and "_ERFC_POLY_FLOAT64 = (" in fitted
+        assert "_TANH_POLY_FLOAT32 = (" in fitted
         assert fitted in Path(encoder.__file__).read_text()
 
 

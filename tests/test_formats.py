@@ -48,6 +48,22 @@ class TestTensorTable:
         np.testing.assert_array_equal(back["b.c"], tensors["b.c"])
         assert back["b.c"].dtype == np.dtype("<u4")
 
+    def test_header_layout(self, tmp_path):
+        path = tmp_path / "t.bin"
+        a = np.arange(6, dtype=np.float32).reshape(2, 3)
+        write_tensor_table(path, b"KWM1", {"a": a, "bc": np.array([7], dtype=np.uint32)})
+        assert path.read_bytes() == (
+            b"KWM1" + struct.pack("<I", 2)
+            + struct.pack("<H", 1) + b"a" + struct.pack("<BB2I", 0, 2, 2, 3) + a.tobytes()
+            + struct.pack("<H", 2) + b"bc" + struct.pack("<BBI", 1, 1, 1) + struct.pack("<I", 7)
+        )
+
+    def test_rank_above_the_reader_bound_is_not_written(self, tmp_path):
+        path = tmp_path / "t.bin"
+        with pytest.raises(ValueError, match="rank 9 too large"):
+            write_tensor_table(path, b"KWM1", {"x": np.zeros((1,) * 9, dtype=np.float32)})
+        assert list(tmp_path.iterdir()) == []
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "t.bin"
         write_tensor_table(path, b"OPT1", {"x": np.zeros(1, dtype=np.float32)})
@@ -236,6 +252,12 @@ class TestEmbeddingsFile:
         back = load_embeddings(path)
         assert back.tobytes() == emb.tobytes()
         assert path.read_bytes()[:4] == EMBEDDINGS_MAGIC
+
+    def test_header_layout(self, tmp_path):
+        emb = np.arange(6, dtype=np.float32).reshape(3, 2)
+        path = tmp_path / "e.emb1"
+        save_embeddings(path, emb)
+        assert path.read_bytes() == b"EMB1" + struct.pack("<II", 3, 2) + emb.tobytes()
 
     def test_vector_becomes_single_row(self, tmp_path):
         path = tmp_path / "e.emb1"

@@ -697,6 +697,18 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(feats, labels, w, cfg)
 
+    def test_rejects_more_masks_than_the_grid_has_rows(self):
+        feats, labels = separable_toy_data()
+        w = self._toy_setup()
+        for counts in ({"time_masks": 7}, {"freq_masks": 5}):  # grid is 4x6
+            cfg = TrainConfig(epochs=1, batch_size=4, warmup_epochs=0, time_mask_width=3,
+                              freq_mask_width=2, **counts)
+            with pytest.raises(ValueError, match="at most 6 time masks and 4 frequency masks"):
+                train(feats, labels, w, cfg)
+
+    def test_mask_counts_up_to_the_grid_are_accepted(self):
+        TrainConfig(time_masks=98, freq_masks=40).check_mask_widths(EncoderConfig())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_stops_at_its_step(self):
         feats, labels = separable_toy_data()

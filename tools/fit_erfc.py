@@ -1,24 +1,6 @@
-"""Fit the coefficient tables behind the encoder's GELU kernel.
+"""Fit the coefficient table behind the encoder's float32 GELU kernel.
 
-The kernel (audiomlp.encoder) evaluates the Gaussian CDF Phi in one of two
-forms, picked by dtype.
-
-float64 evaluates the complementary error function as
-
-    erfc(z) = t * exp(-z*z + P(2t - 1)),   t = 2 / (2 + z),   z >= 0,
-
-the form of Numerical Recipes' erfccheb. As z runs over [0, inf), x = 2t - 1
-runs over (-1, 1], and P(x) = log(erfc(z) / t) + z*z is smooth on the
-closed interval, so a short Chebyshev series P(x) = sum_k c[k] T_k(x)
-represents it. This script interpolates P at Chebyshev nodes, with erfc
-from the standard library's math.erfc, and truncates the series to the
-fewest terms whose error in 2 * Phi(u) = 1 + erf(u / sqrt 2) stays within
-1e-14. The series is printed in the power basis, P(x) = sum_j a[j] x^j,
-because Horner's rule takes two array passes per term where Clenshaw's
-recurrence takes three; the power-basis coefficients are well conditioned
-(sum |a[j]| is about 1.46, against max |P| of about 0.65).
-
-float32 evaluates
+The kernel (audiomlp.encoder) evaluates the Gaussian CDF Phi in float32 as
 
     Phi(u) = 1/2 + 1/2 * tanh(u * Q(min(u*u, 36))),
 
@@ -31,13 +13,14 @@ points in s. Past |u| = 6 the clamp holds Q at Q(36), where u * Q is
 above 10, and tanh rounds to exactly +-1 in float32. The fewest terms
 whose error in 2 * Phi, the clamp included, stays within 1.2e-7 (half a
 float32 ulp at 2, leaving room for rounding) are printed with that error.
+Other dtypes need no table: the kernel takes their Phi from math.erfc.
 
 The output is the Python source committed in encoder.py:
 
     python3 tools/fit_erfc.py
 
 Only the standard library and numpy's elementwise arithmetic are used
-(the linear solves are done here in Python, not by LAPACK), so the tables
+(the linear solves are done here in Python, not by LAPACK), so the table
 can be reproduced offline.
 """
 
@@ -47,74 +30,12 @@ import math
 
 import numpy as np
 
-NODES = 64  # interpolation nodes; the coefficients reach rounding level by k ~ 25
-# Largest absolute error allowed in 2 * Phi(u): far inside the float64
-# finite-difference checks' tolerance, and half a float32 ulp at 2.
-ERFC_TARGET = 1e-14
+# Largest absolute error allowed in 2 * Phi(u): half a float32 ulp at 2.
 TANH_TARGET = 1.2e-7
 TANH_CLAMP = 36.0  # u*u is clamped here, at |u| = 6
 TANH_POINTS = 2000  # fitting points in s
 LAWSON_STEPS = 30  # reweightings; the error settles within 20
 CHECK_U = np.linspace(0.0, 12.0, 12001)  # where the errors are measured
-
-
-def _two_square(z: float) -> tuple[float, float]:
-    """z*z as hi + lo exactly (Veltkamp split)."""
-    hi = z * z
-    c = 134217729.0 * z  # 2**27 + 1
-    zh = c - (c - z)
-    zl = z - zh
-    return hi, ((zh * zh - hi) + 2.0 * zh * zl) + zl * zl
-
-
-def _log_erfc_plus_square(z: float) -> float:
-    """log(erfc(z)) + z*z to double precision, for any z >= 0."""
-    if z > 25.0:
-        # erfc(z) nears the bottom of the double range: use the asymptotic
-        # series erfc(z) = exp(-z*z) / (z sqrt(pi)) * sum_k (-1)^k (2k-1)!! / (2z^2)^k
-        total = term = 1.0
-        k = 0
-        while abs(term) > 1e-18:
-            k += 1
-            term *= -(2 * k - 1) / (2.0 * z * z)
-            total += term
-        return math.log(total / (z * math.sqrt(math.pi)))
-    hi, lo = _two_square(z)
-    return math.log(math.erfc(z) * math.exp(hi)) + lo
-
-
-def chebyshev_coefficients() -> list[float]:
-    """c[0..NODES-1] of P by interpolation at the NODES Chebyshev points."""
-    values = []
-    for j in range(NODES):
-        x = math.cos(math.pi * (j + 0.5) / NODES)
-        t = 0.5 * (1.0 + x)
-        values.append(_log_erfc_plus_square((1.0 - x) / t) - math.log(t))
-    # cos(pi * k * (2j + 1) / (2 NODES)) with the argument reduced exactly
-    cosines = [math.cos(math.pi * m / (2 * NODES)) for m in range(4 * NODES)]
-    coeffs = [
-        2.0 / NODES * math.fsum(v * cosines[k * (2 * j + 1) % (4 * NODES)]
-                                for j, v in enumerate(values))
-        for k in range(NODES)
-    ]
-    coeffs[0] *= 0.5
-    return coeffs
-
-
-def truncation_error(coeffs: list[float]) -> float:
-    """Largest |error| in 2 * Phi(u), |u| <= 12, from using only these terms."""
-    z = CHECK_U / math.sqrt(2.0)
-    t = 2.0 / (2.0 + z)
-    approx = t * np.exp(np.polynomial.chebyshev.chebval(2.0 * t - 1.0, coeffs) - z * z)
-    exact = np.array([math.erfc(v) for v in z.tolist()])
-    return float(np.max(np.abs(approx - exact)))
-
-
-def fit_erfc_series() -> list[float]:
-    """Power-basis coefficients of the float64 erfc series."""
-    coeffs = chebyshev_coefficients()
-    n = next(n for n in range(1, NODES + 1) if truncation_error(coeffs[:n]) <= ERFC_TARGET)
-    return [float(a) for a in np.polynomial.chebyshev.cheb2poly(coeffs[:n])]
 
 
 def _atanh_erf_over_u(s: float) -> float:
@@ -195,11 +116,9 @@ def _print_table(name: str, table: list[float]) -> None:
 
 
 def main() -> None:
-    print("# Printed by tools/fit_erfc.py. float64: P(x) = sum_j a[j] x^j, the")
-    print("# Chebyshev fit of the erfc form written in the power basis. float32:")
-    print("# Q(s) = sum_j b[j] s^j of the tanh form, s = min(u*u, 36).")
-    _print_table("_ERFC_POLY_FLOAT64", fit_erfc_series())
     power, error = fit_tanh_form()
+    print("# Printed by tools/fit_erfc.py: Q(s) = sum_j b[j] s^j of the float32 tanh")
+    print("# form of Phi, s = min(u*u, 36).")
     print(f"# Largest error in 2 * Phi of the tanh form, |u| <= 12: {error:.2g}")
     _print_table("_TANH_POLY_FLOAT32", power)
 

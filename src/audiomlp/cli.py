@@ -154,10 +154,11 @@ def cmd_embed(args) -> int:
         return _fail(EXIT_USAGE, f"--depth {depth} outside [0, {cfg.depth}] for this model")
     try:
         wav_bytes = Path(args.audio).read_bytes()
-        embeddings = encode_audio(wav_bytes, weights, args.algorithm, depth)
+        # finite weights can still overflow in the encoder: the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            embeddings = encode_audio(wav_bytes, weights, args.algorithm, depth)
     except (OSError, DecodeError) as exc:
         return _fail(EXIT_AUDIO, f"cannot embed {args.audio}: {exc}")
-    # finite weights can still overflow in the encoder
     if not np.isfinite(embeddings).all():
         return _fail(
             EXIT_WEIGHTS, f"weights {args.weights} give NaN or infinite embeddings of {args.audio}"
@@ -188,7 +189,7 @@ def cmd_train(args) -> int:
         entries = load_manifest(args.manifest)
     except (ManifestError, OSError) as exc:
         return _fail(EXIT_MANIFEST, f"cannot read manifest {args.manifest}: {exc}")
-    # labels and flags are checked before any WAV is decoded
+    # labels, flags and output paths are checked before any WAV is decoded
     labels = np.array([label for _, label in entries])
     try:
         n_classes = class_count(labels)
@@ -200,18 +201,6 @@ def cmd_train(args) -> int:
         train_config.check_mask_widths(encoder_config)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
-
-    features = []
-    for wav_path, _ in entries:
-        try:
-            audio = _decode_at_model_rate(wav_path.read_bytes())
-        except (OSError, DecodeError) as exc:
-            return _fail(EXIT_AUDIO, f"cannot read {wav_path}: {exc}")
-        # training examples are single 1 s segments; whole files are
-        # represented by their first second
-        features.append(mfcc(pad_and_segment(audio)[0]))
-    features = np.stack(features)
-    weights = init_weights(encoder_config, seed=train_config.seed)
     output = Path(args.output)
     if output.suffix.lower() in (".opt1", ".csv"):
         return _fail(
@@ -224,6 +213,18 @@ def cmd_train(args) -> int:
         problem = why_unwritable(path)
         if problem is not None:
             return _fail(EXIT_USAGE, f"cannot write {path}: {problem}")
+
+    features = []
+    for wav_path, _ in entries:
+        try:
+            audio = _decode_at_model_rate(wav_path.read_bytes())
+        except (OSError, DecodeError) as exc:
+            return _fail(EXIT_AUDIO, f"cannot read {wav_path}: {exc}")
+        # training examples are single 1 s segments; whole files are
+        # represented by their first second
+        features.append(mfcc(pad_and_segment(audio)[0]))
+    features = np.stack(features)
+    weights = init_weights(encoder_config, seed=train_config.seed)
     log_path = output.with_suffix(".csv")
     try:
         log = open(log_path, "w")
@@ -302,12 +303,7 @@ def cmd_inspect(args) -> int:
     print(
         json.dumps(
             {
-                "n_mfcc": cfg.n_mfcc,
-                "n_frames": cfg.n_frames,
-                "dim": cfg.dim,
-                "hidden_dim": cfg.hidden_dim,
-                "depth": cfg.depth,
-                "n_classes": cfg.n_classes,
+                **dataclasses.asdict(cfg),
                 "parameter_count": weights.parameter_count(),
                 "gate_toeplitz": gates,
             }

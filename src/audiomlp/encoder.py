@@ -19,19 +19,19 @@ derivative "dgelu", a copy of the value half "value", the mixed gate
 final norm's statistics are "xhat_f" and "istd_f". The norm outputs are
 recomputed from xhat rather than kept, with the same bits.
 
-GELU is exact, u * Phi(u) (Hendrycks & Gimpel, arXiv 1606.08415). float32,
-the dtype of embedding and training, computes Phi(u) = 1/2 + 1/2 *
-tanh(u * Q(min(u*u, 36))) through numpy's SIMD float32 tanh, with a
-7-term polynomial Q fitted by tools/fit_erfc.py and evaluated by Horner's
-rule. Other dtypes (float64 is the dtype of the gradient checks) take
-Phi(u) = erfc(-u / sqrt 2) / 2 from the standard library's math.erfc,
-which is exact to about one ulp and needs no fitted table. The kernel
-runs over the flattened input in blocks of _GELU_CHUNK elements, every
-step in place in four reused scratch rows, so its memory beyond the
-outputs does not grow with the batch. Layer norm and its backward pass
-take their row means as np.mean does (a pairwise sum, then a division)
-but without np.mean's Python wrapper, and work in place, with the same
-bits.
+GELU is exact, u * Phi(u) (Hendrycks & Gimpel, arXiv 1606.08415).
+float32, the dtype of embedding and training, computes Phi(u) = 1/2 +
+1/2 * tanh(u * Q(min(u*u, 36))) through numpy's SIMD float32 tanh, with
+a 7-term polynomial Q fitted at import by _fit_tanh_form and evaluated
+by Horner's rule. Other dtypes (float64 is the dtype of the gradient
+checks) take Phi(u) = erfc(-u / sqrt 2) / 2 from the standard library's
+math.erfc, which is exact to about one ulp and needs no fitted table.
+The kernel runs over the flattened input in blocks of _GELU_CHUNK
+elements, in place in the output blocks and one reused scratch row, so
+its memory beyond the outputs does not grow with the batch. Layer norm
+and its backward pass take their row means as np.mean does (a pairwise
+sum, then a division) but without np.mean's Python wrapper, and work in
+place, with the same bits.
 
 Weights live in a flat dict of named float32 arrays. The names double as
 the on-disk tensor names, the optimizer state keys and the gradient keys,
@@ -41,9 +41,11 @@ so there is exactly one naming scheme in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .dsp import N_FRAMES, N_MFCC
 
 LN_EPS = 1e-5
 
@@ -57,17 +59,17 @@ MAX_DEPTH = 1024
 class EncoderConfig:
     """Architecture hyperparameters; defaults are the full-size model."""
 
-    n_mfcc: int = 40
-    n_frames: int = 98
+    n_mfcc: int = N_MFCC
+    n_frames: int = N_FRAMES
     dim: int = 64
     hidden_dim: int = 256
     depth: int = 12
     n_classes: int = 35
 
     def __post_init__(self):
-        for name in ("n_mfcc", "n_frames", "dim", "hidden_dim", "depth", "n_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be positive")
         if self.depth > MAX_DEPTH:
             raise ValueError(f"depth must be at most {MAX_DEPTH}")
         if self.hidden_dim % 2 != 0:
@@ -164,89 +166,93 @@ def init_weights(config: EncoderConfig | None = None, seed: int = 0) -> EncoderW
     return EncoderWeights(config, tensors)
 
 
-# Printed by tools/fit_erfc.py: Q(s) = sum_j b[j] s^j of the float32 tanh
-# form of Phi, s = min(u*u, 36).
-# Largest error in 2 * Phi of the tanh form, |u| <= 12: 5.8e-08
-_TANH_POLY_FLOAT32 = (
-    0.7978849417012193,
-    0.036333083332375594,
-    -3.2593393392768804e-05,
-    -5.5306953665936275e-05,
-    3.9649025087146876e-06,
-    -1.322775523327175e-07,
-    1.7566170553030454e-09,
-)
-
-# Elements per block: the four scratch rows stay in cache, and no temporary
-# grows with the batch (at (64, 98, 256) float32 each would be a fresh 6.4 MB
-# mmap, slower than the arithmetic it holds).
+# Elements per block: the scratch row stays in cache, and no temporary grows
+# with the batch (at (64, 98, 256) float32 each would be a fresh 6.4 MB mmap,
+# slower than the arithmetic it holds).
 _GELU_CHUNK = 1 << 15
+
+# The float32 tanh form holds u*u at this clamp, in its fit and in the kernel
+_TANH_CLAMP = 36.0
 
 # math.erfc, element by element, as a numpy ufunc with object outputs
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _horner(x: np.ndarray, poly: tuple[float, ...], acc: np.ndarray) -> None:
-    """acc = sum_j poly[j] x^j, in place."""
-    np.multiply(x, poly[-1], out=acc)
-    acc += poly[-2]
-    for a in poly[-3::-1]:
-        acc *= x
-        acc += a
+def _fit_tanh_form() -> tuple[float, ...]:
+    """Q(s) = sum_j b[j] s^j of float32 Phi(u) = 1/2 + 1/2 tanh(u Q(min(u*u, 36))).
 
-
-def _normal_cdf(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Phi(u) for a 1-d block u, returned in rows[3].
-
-    rows is a (4, len(u)) array of u's dtype; every step writes into
-    rows[1] or rows[3] in place (out=), and rows[0..2] are free again on
-    return. float32 uses the fitted tanh form; other dtypes take
-    Phi(u) = erfc(-u / sqrt 2) / 2 from the standard library's math.erfc,
-    one Python call per element.
+    A tanh form, because numpy's float32 tanh is a SIMD loop and the form
+    needs no abs, divide, exp or sign step. Q(s), s = u*u, is fitted to
+    atanh(erf(u / sqrt 2)) / u by least squares on Chebyshev points in
+    [0, 36], weighted by u sech^2(u Q), the effect of an error in Q on
+    2 * Phi; sech^2(atanh(erf z)) = erfc(z) erfc(-z). Past |u| = 6,
+    u Q(36) > 10 and float32 tanh rounds to exactly +-1, so the clamp at
+    36 makes Phi exactly 0 or 1 there. Q has 7 terms, as Python floats:
+    numpy float64 scalars would be strong operands in the float32 kernel,
+    changing its rounding and slowing each pass several times.
     """
-    s, acc = rows[1], rows[3]
+    s = 0.5 * _TANH_CLAMP * (1.0 - np.cos(np.pi * (np.arange(200) + 0.5) / 200))
+    u = np.sqrt(s)
+    z = u / math.sqrt(2.0)
+    upper, lower = _erfc(z).astype(np.float64), _erfc(-z).astype(np.float64)
+    # atanh(erf(z)) / u from erfc, so an erf(z) near 1 keeps its digits
+    target = 0.5 * np.log(lower / upper) / u
+    weight = u * upper * lower
+    columns = (s / _TANH_CLAMP)[:, None] ** np.arange(7)
+    c = np.linalg.lstsq(weight[:, None] * columns, weight * target, rcond=None)[0]
+    return tuple(float(cj) / _TANH_CLAMP**j for j, cj in enumerate(c))
+
+
+_TANH_POLY_FLOAT32 = _fit_tanh_form()
+
+
+def _normal_cdf(u: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
+    """Phi(u) for a 1-d block u, written into out, with s as scratch.
+
+    s and out have u's size and dtype, and every step works in place in
+    them. float32 uses the fitted tanh form; other dtypes call math.erfc
+    once per element.
+    """
     if u.dtype == np.float32:
-        # Phi(u) = 1/2 + 1/2 tanh(u Q(s)), s = min(u^2, 36), Q fitted to
-        # atanh(erf(u / sqrt 2)) / u. Past |u| = 6, |u Q(36)| > 10: Phi is 0 or 1
+        # Phi(u) = 1/2 + 1/2 tanh(u Q(s)), s = min(u^2, 36), Q by Horner's rule
         np.multiply(u, u, out=s)
-        np.minimum(s, 36.0, out=s)
-        _horner(s, _TANH_POLY_FLOAT32, acc)
-        acc *= u
-        np.tanh(acc, out=acc)
-        acc *= 0.5
-        acc += 0.5
-        return acc
+        np.minimum(s, _TANH_CLAMP, out=s)
+        np.multiply(s, _TANH_POLY_FLOAT32[-1], out=out)
+        out += _TANH_POLY_FLOAT32[-2]
+        for a in _TANH_POLY_FLOAT32[-3::-1]:
+            out *= s
+            out += a
+        out *= u
+        np.tanh(out, out=out)
+        out *= 0.5
+        out += 0.5
+        return
     np.divide(u, -math.sqrt(2.0), out=s)
-    _erfc(s, out=acc, casting="unsafe")
-    acc *= 0.5
-    return acc
+    _erfc(s, out=out, casting="unsafe")
+    out *= 0.5
 
 
 def _gelu(u: np.ndarray, with_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """GELU of u and, with_grad, its derivative, block by block over u's elements."""
     u = np.asarray(u)
-    dtype = np.promote_types(u.dtype, np.float32)
-    src = np.ascontiguousarray(u, dtype=dtype).reshape(-1)
-    out = np.empty(u.shape, dtype)
-    grad = np.empty(u.shape, dtype) if with_grad else None
-    flat_out = out.reshape(-1)
-    flat_grad = None if grad is None else grad.reshape(-1)
-    scratch = np.empty((4, min(src.size, _GELU_CHUNK)), dtype)
+    src = np.ascontiguousarray(u, dtype=np.promote_types(u.dtype, np.float32)).reshape(-1)
+    out = np.empty(u.shape, src.dtype)
+    grad = np.empty(u.shape, src.dtype) if with_grad else None
+    scratch = np.empty(min(src.size, _GELU_CHUNK), src.dtype)
     for start in range(0, src.size, _GELU_CHUNK):
         block = slice(start, start + _GELU_CHUNK)
-        x = src[block]
-        rows = scratch[:, : x.size]
-        cdf = _normal_cdf(x, rows)
-        if flat_grad is not None:
+        x, cdf = src[block], out.reshape(-1)[block]
+        _normal_cdf(x, scratch[: x.size], cdf)
+        if grad is not None:
             # Phi(u) + u phi(u), with its own exp: the GELU bits do not depend on it
-            pdf = rows[0]
+            pdf = grad.reshape(-1)[block]
             np.multiply(x, x, out=pdf)
             pdf *= -0.5
             np.exp(pdf, out=pdf)
             pdf *= 1.0 / math.sqrt(2.0 * math.pi)
             pdf *= x
-            np.add(cdf, pdf, out=flat_grad[block])
-        np.multiply(x, cdf, out=flat_out[block])
+            np.add(cdf, pdf, out=pdf)
+        np.multiply(x, cdf, out=cdf)
     return out, grad
 
 

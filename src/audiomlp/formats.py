@@ -18,6 +18,7 @@ as it was and no partial file behind.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import struct
@@ -160,12 +161,7 @@ def read_tensor_table(path, magic: bytes) -> dict[str, np.ndarray]:
 def save_weights(path, weights: EncoderWeights) -> None:
     """Write a KWM1 file: meta first, then tensors in canonical order."""
     cfg = weights.config
-    table: dict[str, np.ndarray] = {
-        "meta": np.array(
-            [cfg.n_mfcc, cfg.n_frames, cfg.dim, cfg.hidden_dim, cfg.depth, cfg.n_classes],
-            dtype="<u4",
-        )
-    }
+    table: dict[str, np.ndarray] = {"meta": np.array(dataclasses.astuple(cfg), dtype="<u4")}
     for name in tensor_shapes(cfg):
         table[name] = weights.tensors[name]
     write_tensor_table(path, WEIGHTS_MAGIC, table)

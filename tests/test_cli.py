@@ -203,7 +203,7 @@ class TestEmbed:
         assert not out.exists()
         assert main(["inspect", "--weights", str(bad)]) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["emb1", "csv"])
     def test_finite_weights_that_overflow_exit_2_and_write_nothing(self, tmp_path, capsys, fmt):
         weights = init_weights(EncoderConfig(depth=2), seed=0)
@@ -442,6 +442,22 @@ class TestTrain:
         assert code == 1
         assert f"cannot write {tmp_path / directory}" in capsys.readouterr().err
         assert not out.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("output", ["m.csv", "no-such-dir/m.kwm1"])
+    def test_bad_output_exits_1_before_any_wav_is_decoded(
+        self, tmp_path, capsys, monkeypatch, output
+    ):
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("a WAV was decoded although the output is refused")
+
+        monkeypatch.setattr("audiomlp.cli._decode_at_model_rate", no_decoding)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("missing.wav\t0\nother.wav\t1\n")
+        out = tmp_path / output
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)] + TRAIN_FLAGS)
+        assert code == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [manifest]
 
     def test_output_that_is_a_directory_exits_1(self, tmp_path, capsys, monkeypatch):
         self._assert_exits_1_before_training(tmp_path, capsys, monkeypatch, "m.kwm1")

@@ -1,22 +1,19 @@
 from __future__ import annotations
 
 import math
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from audiomlp import encoder
 from audiomlp.encoder import (
     _GELU_CHUNK,
     LN_EPS,
     MAX_DEPTH,
     EncoderConfig,
     EncoderWeights,
+    _fit_tanh_form,
     _normal_cdf,
     block_forward,
     encode,
@@ -31,12 +28,13 @@ from audiomlp.encoder import (
 )
 
 TOY = EncoderConfig(n_mfcc=4, n_frames=6, dim=4, hidden_dim=8, depth=2, n_classes=3)
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def cdf_one_block(u: np.ndarray) -> np.ndarray:
     """The kernel's Phi(u) for a 1-d array, evaluated as a single block."""
-    return _normal_cdf(u, np.empty((4, u.size), u.dtype))
+    out = np.empty_like(u)
+    _normal_cdf(u, np.empty_like(u), out)
+    return out
 
 
 class TestConfig:
@@ -222,12 +220,12 @@ class TestGeluKernel:
             gelu_with_grad(u)
 
     def test_peak_memory_is_outputs_plus_one_block(self):
-        """Peaks 1.08x (gelu) and 2.08x (with grad) of the input bytes.
+        """Peaks 1.02x (gelu) and 2.02x (with grad) of the input bytes.
 
         A whole-array evaluation with temporaries peaked at 3.0x and 5.0x.
         """
         u = np.random.default_rng(5).standard_normal((64, 98, 256)).astype(np.float32)
-        for fn, limit in ((gelu, 1.25), (gelu_with_grad, 2.25)):
+        for fn, limit in ((gelu, 1.05), (gelu_with_grad, 2.05)):
             tracemalloc.start()
             try:
                 fn(u)
@@ -236,13 +234,11 @@ class TestGeluKernel:
                 tracemalloc.stop()
             assert peak <= limit * u.nbytes, f"{fn.__name__}: {peak / u.nbytes:.2f}x input"
 
-    def test_committed_tables_are_the_fit_output(self):
-        fitted = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "fit_erfc.py")],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        assert "_TANH_POLY_FLOAT32 = (" in fitted
-        assert fitted in Path(encoder.__file__).read_text()
+    def test_fit_gives_the_same_python_floats_each_call(self):
+        # numpy scalars would be strong float64 operands in the float32 kernel
+        poly = _fit_tanh_form()
+        assert len(poly) == 7 and all(type(b) is float for b in poly)
+        assert _fit_tanh_form() == poly
 
 
 class TestBlockIdentities:

@@ -20,7 +20,7 @@ among them a label not below the number of entries; 5 probe data
 problems (non-finite embeddings, embeddings and labels that do not line
 up, fewer than two classes, a label not below the number of examples, a
 non-finite learning rate, more than 65,536 hidden units, a non-finite
-loss or final logits).
+loss, optimizer state or final logits).
 Every command prints a single JSON line with its results.
 """
 
@@ -208,8 +208,8 @@ def cmd_train(args) -> int:
             f"cannot write {output}: train writes its .opt1 and .csv siblings, "
             "which would overwrite it",
         )
-    # find an unwritable weights path now, not after the whole run
-    for path in (output, output.with_suffix(".opt1")):
+    # find an unwritable output path now, not after the whole run
+    for path in (output, output.with_suffix(".opt1"), output.with_suffix(".csv")):
         problem = why_unwritable(path)
         if problem is not None:
             return _fail(EXIT_USAGE, f"cannot write {path}: {problem}")
@@ -274,7 +274,9 @@ def cmd_probe(args) -> int:
     except ValueError:
         return _fail(EXIT_PROBE, f"labels file {args.labels} must hold one integer per line")
     try:
-        probe = train_probe(embeddings, labels, _config_from_args(ProbeConfig, args))
+        # overflow is reported by train_probe's finiteness checks, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            probe = train_probe(embeddings, labels, _config_from_args(ProbeConfig, args))
     except ValueError as exc:
         return _fail(EXIT_PROBE, str(exc))
     accuracy = evaluate_probe(embeddings, labels, probe)

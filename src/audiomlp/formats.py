@@ -4,8 +4,8 @@ Weights and optimizer state share one container: a 4-byte magic, a u32
 tensor count, then per tensor a u16 name length, the UTF-8 name, a u8
 dtype code (0 = float32, 1 = uint32), a u8 rank, rank u32 dims and the
 row-major little-endian payload. Weight files ("KWM1") carry a leading
-"meta" uint32 tensor with the six architecture dims; optimizer files
-("OPT1") carry a "step" counter plus "m."/"v."-prefixed moment tensors.
+"meta" uint32 tensor with the six architecture dims; an optimizer file
+("OPT1") holds the AdamW state table of trainer.init_adamw_state.
 
 Embedding files ("EMB1") are a plain matrix: magic, u32 rows, u32 cols,
 float32 payload. The CSV flavor writes one row per line with %.9g, which
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderConfig, EncoderWeights, tensor_shapes
-from .trainer import AdamWState
+from .trainer import init_adamw_state
 
 WEIGHTS_MAGIC = b"KWM1"
 OPTIMIZER_MAGIC = b"OPT1"
@@ -193,34 +193,22 @@ def load_weights(path) -> EncoderWeights:
         raise FormatError(f"weights file inconsistent with its meta: {exc}") from exc
 
 
-def save_optimizer_state(path, state: AdamWState) -> None:
-    table: dict[str, np.ndarray] = {"step": np.array([state.step], dtype="<u4")}
-    for name, tensor in state.m.items():
-        table["m." + name] = tensor
-    for name, tensor in state.v.items():
-        table["v." + name] = tensor
-    write_tensor_table(path, OPTIMIZER_MAGIC, table)
+def save_optimizer_state(path, state: dict[str, np.ndarray]) -> None:
+    write_tensor_table(path, OPTIMIZER_MAGIC, state)
 
 
-def load_optimizer_state(path, weights: EncoderWeights | None = None) -> AdamWState:
-    tensors = read_tensor_table(path, OPTIMIZER_MAGIC)
-    step = tensors.pop("step", None)
-    if step is None or step.shape != (1,):
-        raise FormatError("optimizer file has no step counter")
-    m: dict[str, np.ndarray] = {}
-    v: dict[str, np.ndarray] = {}
-    for name, tensor in tensors.items():
-        if name.startswith("m."):
-            m[name[2:]] = tensor
-        elif name.startswith("v."):
-            v[name[2:]] = tensor
-        else:
-            raise FormatError(f"unexpected tensor {name!r} in optimizer file")
-    if m.keys() != v.keys():
-        raise FormatError("optimizer moments are not paired")
-    if weights is not None and m.keys() != weights.tensors.keys():
-        raise FormatError("optimizer state does not match the weights")
-    return AdamWState(m=m, v=v, step=int(step[0]))
+def load_optimizer_state(path, weights: EncoderWeights) -> dict[str, np.ndarray]:
+    """Read an OPT1 file; FormatError unless its names, shapes and dtypes are
+    those of init_adamw_state(weights.tensors).
+    """
+    state = read_tensor_table(path, OPTIMIZER_MAGIC)
+    template = init_adamw_state(weights.tensors)
+    for name in {**template, **state}:  # the template's order, then names only the file has
+        got, want = state.get(name), template.get(name)
+        if got is None or want is None or (got.shape, got.dtype) != (want.shape, want.dtype):
+            what = "unexpected" if want is None else f"expected {want.dtype} {want.shape}"
+            raise FormatError(f"optimizer state does not match the weights: {what} tensor {name!r}")
+    return state
 
 
 def save_embeddings(path, matrix: np.ndarray) -> None:

@@ -106,8 +106,8 @@ def train_probe(
 
     Raises ValueError on bad inputs, among them a largest label not below
     the number of examples (checked before the probe is allocated), on
-    the first non-finite loss, and on non-finite logits after the last
-    update.
+    the first non-finite loss, and on a non-finite optimizer state or
+    non-finite logits after the last update.
     """
     if config is None:
         config = ProbeConfig()
@@ -126,6 +126,9 @@ def train_probe(
         if not math.isfinite(loss):
             raise ValueError(f"probe loss is not finite at epoch {epoch}")
         adamw_update(probe.tensors, grads, state, config.lr, 0.0)
+    # an overflowed moment stalls its weights without making them non-finite
+    if not all(np.isfinite(t).all() for t in state.values()):
+        raise ValueError("probe optimizer state overflowed")
     if not np.isfinite(probe_logits(embeddings, probe)).all():
         raise ValueError("probe logits are not finite after the last update")
     return probe

@@ -6,8 +6,8 @@ the loss, stochastic depth and the optimizer. During training stochastic
 depth drops each block's branch per example with probability
 1 - survival, and kept branches are scaled by 1 / survival so inference
 needs no rescaling. Gradients live in a plain dict keyed by the same
-tensor names the weights use, which is also what the AdamW update and
-the optimizer state files consume.
+tensor names the weights use, and AdamW's state is a flat table of the
+same names with "m."/"v." prefixes, the table an OPT1 file holds.
 
 A step runs in micro-batches of _MICRO_BATCH examples. loss_and_grads
 draws every block's stochastic-depth decisions for the whole batch first,
@@ -33,10 +33,6 @@ from .encoder import EncoderConfig, EncoderWeights, check_features, encode, enco
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# tensors that receive decoupled weight decay: the projection matrices.
-# Biases and norm parameters are left undecayed.
-_DECAYED_LEAVES = frozenset({"P0", "U", "G", "V", "W"})
 
 # Examples per forward/backward pass in loss_and_grads and predict. In the
 # depth-12, batch-64 training benchmark (one BLAS thread, 2-CPU host), 2, 4
@@ -268,46 +264,38 @@ def loss_and_grads(
     return float(-np.concatenate(rows).mean()), grads
 
 
-def matrix_params(name: str) -> bool:
-    """True for tensors that get weight decay (projection matrices)."""
-    return name.rsplit(".", 1)[-1] in _DECAYED_LEAVES
-
-
-@dataclass
-class AdamWState:
-    """First/second moment accumulators plus the shared step counter."""
-
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
-
-
-def init_adamw_state(tensors: dict[str, np.ndarray]) -> AdamWState:
-    return AdamWState(
-        m={k: np.zeros_like(t) for k, t in tensors.items()},
-        v={k: np.zeros_like(t) for k, t in tensors.items()},
-    )
+def init_adamw_state(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """AdamW's zeroed state, the table an OPT1 file holds: a uint32 (1,)
+    "step", then "m.<name>" for every tensor, then "v.<name>".
+    """
+    state = {"step": np.zeros(1, dtype="<u4")}
+    for prefix in ("m.", "v."):
+        state.update({prefix + k: np.zeros_like(t) for k, t in tensors.items()})
+    return state
 
 
 def adamw_update(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
-    state: AdamWState,
+    state: dict[str, np.ndarray],
     lr: float,
     weight_decay: float,
 ) -> None:
-    """One decoupled-weight-decay Adam step, in place on params and state."""
-    state.step += 1
-    bc1 = 1.0 - ADAM_BETA1**state.step
-    bc2 = 1.0 - ADAM_BETA2**state.step
+    """One decoupled-weight-decay Adam step, in place on params and state.
+    Only rank-2 tensors (matrices, not biases or norm parameters) decay.
+    """
+    state["step"] += 1
+    step = int(state["step"][0])
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
     for name, grad in grads.items():
-        m, v = state.m[name], state.v[name]
+        m, v = state["m." + name], state["v." + name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * grad
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * grad * grad
         p = params[name]
-        if weight_decay != 0.0 and matrix_params(name):
+        if weight_decay != 0.0 and p.ndim == 2:
             p -= lr * weight_decay * p
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
@@ -332,7 +320,7 @@ class StepRecord:
 @dataclass
 class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)
-    state: AdamWState | None = None
+    state: dict[str, np.ndarray] | None = None
     steps: int = 0
 
 

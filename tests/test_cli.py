@@ -203,7 +203,6 @@ class TestEmbed:
         assert not out.exists()
         assert main(["inspect", "--weights", str(bad)]) == 2
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["emb1", "csv"])
     def test_finite_weights_that_overflow_exit_2_and_write_nothing(self, tmp_path, capsys, fmt):
         weights = init_weights(EncoderConfig(depth=2), seed=0)
@@ -459,6 +458,21 @@ class TestTrain:
         assert f"cannot write {out}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [manifest]
 
+    def test_log_path_that_is_a_directory_exits_1_before_any_wav_is_decoded(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("a WAV was decoded although the log cannot be written")
+
+        monkeypatch.setattr("audiomlp.cli._decode_at_model_rate", no_decoding)
+        manifest = write_tiny_dataset(tmp_path)
+        (tmp_path / "m.csv").mkdir()
+        out = tmp_path / "m.kwm1"
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)] + TRAIN_FLAGS)
+        assert code == 1
+        assert f"cannot write {tmp_path / 'm.csv'}: it is a directory" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".opt1").exists()
+
     def test_output_that_is_a_directory_exits_1(self, tmp_path, capsys, monkeypatch):
         self._assert_exits_1_before_training(tmp_path, capsys, monkeypatch, "m.kwm1")
 
@@ -601,6 +615,20 @@ class TestProbe:
         assert main(argv + ["--lr", "1e38", "--epochs", "1"]) == 5
         captured = capsys.readouterr()
         assert captured.out == "" and "after the last update" in captured.err
+
+    def test_optimizer_overflow_exits_5_with_one_error_line(self, tmp_path, capsys):
+        # AdamW's float32 second moment overflows on the squared gradient of
+        # this finite value; the weights then stall without turning non-finite
+        emb = np.random.default_rng(4).standard_normal((6, 8))
+        emb[2, 3] = 5.5e26
+        emb_path = tmp_path / "e.emb1"
+        save_embeddings(emb_path, emb)
+        labels_path = tmp_path / "labels.txt"
+        labels_path.write_text("0\n1\n0\n1\n0\n1\n")
+        assert main(["probe", "--embeddings", str(emb_path), "--labels", str(labels_path)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: probe optimizer state overflowed\n"
 
     def test_non_integer_labels_exit_5(self, tmp_path):
         emb_path, labels_path = self._write_probe_inputs(tmp_path)

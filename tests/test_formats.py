@@ -211,10 +211,11 @@ class TestOptimizerFile:
         path = tmp_path / "s.opt1"
         save_optimizer_state(path, state)
         back = load_optimizer_state(path, w)
-        assert back.step == 3
-        for name in state.m:
-            assert back.m[name].tobytes() == state.m[name].tobytes()
-            assert back.v[name].tobytes() == state.v[name].tobytes()
+        assert back["step"][0] == 3
+        assert list(back) == list(state)
+        for name in state:
+            assert back[name].dtype == state[name].dtype
+            assert back[name].tobytes() == state[name].tobytes()
 
     def test_prefixed_names_on_disk(self, tmp_path):
         _, state = self._state()
@@ -226,14 +227,36 @@ class TestOptimizerFile:
         assert "m.block.0.G.bias" in table
 
     def test_unpaired_moments_rejected(self, tmp_path):
-        _, state = self._state()
+        w, state = self._state()
         path = tmp_path / "s.opt1"
         save_optimizer_state(path, state)
         table = read_tensor_table(path, OPTIMIZER_MAGIC)
         del table["v.P0"]
         write_tensor_table(path, OPTIMIZER_MAGIC, table)
-        with pytest.raises(FormatError, match="paired"):
-            load_optimizer_state(path)
+        with pytest.raises(FormatError, match="expected float32 .* tensor 'v.P0'"):
+            load_optimizer_state(path, w)
+
+    @pytest.mark.parametrize(
+        "name, tensor, message",
+        [
+            ("m.P0", np.zeros((3, 3), np.float32), r"expected float32 \(4, 4\) tensor 'm.P0'"),
+            ("v.P0", np.zeros(7, np.float32), r"expected float32 \(4, 4\) tensor 'v.P0'"),
+            ("step", np.zeros(1, np.float32), r"expected uint32 \(1,\) tensor 'step'"),
+            ("v.head.bias", None, r"expected float32 \(3,\) tensor 'v.head.bias'"),
+            ("m.extra", np.zeros(1, np.float32), "unexpected tensor 'm.extra'"),
+        ],
+        ids=["wrong-m-shape", "wrong-v-shape", "wrong-step-dtype", "missing-v", "extra"],
+    )
+    def test_table_unlike_the_weights_state_rejected(self, tmp_path, name, tensor, message):
+        w, state = self._state()
+        if tensor is None:
+            del state[name]
+        else:
+            state[name] = tensor
+        path = tmp_path / "s.opt1"
+        save_optimizer_state(path, state)
+        with pytest.raises(FormatError, match=message):
+            load_optimizer_state(path, w)
 
     def test_mismatch_with_weights_rejected(self, tmp_path):
         _, state = self._state()

@@ -18,7 +18,6 @@ from audiomlp.encoder import (
 )
 from audiomlp.trainer import (
     _MICRO_BATCH,
-    AdamWState,
     StepRecord,
     TrainConfig,
     TrainingDivergedError,
@@ -30,7 +29,6 @@ from audiomlp.trainer import (
     init_adamw_state,
     loss_and_grads,
     lr_at,
-    matrix_params,
     predict,
     smoothed_cross_entropy,
     train,
@@ -531,16 +529,16 @@ def test_training_step_memory_is_flat_in_the_batch_size():
 
 class TestAdamW:
     def _single(self, wd):
-        params = {"w.W": np.array([1.0])}
-        grads = {"w.W": np.array([1.0])}
+        params = {"w.W": np.array([[1.0]])}
+        grads = {"w.W": np.array([[1.0]])}
         state = init_adamw_state(params)
         adamw_update(params, grads, state, lr=1e-3, weight_decay=wd)
-        return params["w.W"][0], state
+        return params["w.W"][0, 0], state
 
     def test_first_step_without_decay(self):
         p, state = self._single(0.0)
         assert p == pytest.approx(1.0 - 1e-3 / (1.0 + 1e-8), abs=1e-12)
-        assert state.step == 1
+        assert state["step"][0] == 1
 
     def test_first_step_with_decay(self):
         p, _ = self._single(0.1)
@@ -548,39 +546,37 @@ class TestAdamW:
         assert p == pytest.approx(after_decay - 1e-3 / (1.0 + 1e-8), abs=1e-12)
 
     def test_constant_gradient_moves_at_lr(self):
-        params = {"x.W": np.array([1.0])}
+        params = {"x.W": np.array([[1.0]])}
         state = init_adamw_state(params)
         for _ in range(3):
-            adamw_update(params, {"x.W": np.array([1.0])}, state, 1e-3, 0.0)
+            adamw_update(params, {"x.W": np.array([[1.0]])}, state, 1e-3, 0.0)
         # bias correction makes each unit-gradient step move by ~lr
-        assert params["x.W"][0] == pytest.approx(1.0 - 3e-3, abs=1e-6)
+        assert params["x.W"][0, 0] == pytest.approx(1.0 - 3e-3, abs=1e-6)
 
     def test_decay_filter_spares_biases_and_norms(self):
-        assert matrix_params("P0")
-        assert matrix_params("block.3.U")
-        assert matrix_params("block.11.G")
-        assert matrix_params("block.0.V")
-        assert matrix_params("head.W")
-        assert not matrix_params("P0.bias")
-        assert not matrix_params("block.3.U.bias")
-        assert not matrix_params("block.2.pre_norm.scale")
-        assert not matrix_params("final_norm.shift")
-        assert not matrix_params("head.bias")
+        params = init_weights(EncoderConfig(depth=2)).tensors
+        for t in params.values():
+            t[...] = 1.0
+        state = init_adamw_state(params)
+        adamw_update(params, {k: np.zeros_like(t) for k, t in params.items()}, state, 0.5, 0.1)
+        decayed = {k for k, t in params.items() if (t != 1.0).any()}
+        blocks = {f"block.{i}.{leaf}" for i in range(2) for leaf in ("U", "G", "V")}
+        assert decayed == {"P0", "head.W"} | blocks
 
     def test_zero_gradient_with_decay_only_shrinks_matrices(self):
-        params = {"a.W": np.array([2.0]), "a.bias": np.array([2.0])}
+        params = {"a.W": np.array([[2.0]]), "a.bias": np.array([2.0])}
         state = init_adamw_state(params)
-        grads = {k: np.zeros(1) for k in params}
+        grads = {k: np.zeros_like(t) for k, t in params.items()}
         adamw_update(params, grads, state, lr=0.5, weight_decay=0.1)
-        assert params["a.W"][0] == pytest.approx(2.0 * (1.0 - 0.05), abs=1e-12)
+        assert params["a.W"][0, 0] == pytest.approx(2.0 * (1.0 - 0.05), abs=1e-12)
         assert params["a.bias"][0] == 2.0
 
     def test_updates_are_in_place(self):
-        arr = np.array([1.0])
+        arr = np.array([[1.0]])
         params = {"z.W": arr}
         state = init_adamw_state(params)
-        adamw_update(params, {"z.W": np.array([1.0])}, state, 1e-3, 0.0)
-        assert params["z.W"] is arr and arr[0] != 1.0
+        adamw_update(params, {"z.W": np.array([[1.0]])}, state, 1e-3, 0.0)
+        assert params["z.W"] is arr and arr[0, 0] != 1.0
 
 
 class TestLrSchedule:
@@ -682,7 +678,7 @@ class TestTrainLoop:
                           time_masks=0, freq_masks=0)
         result = train(feats, labels, w, cfg)
         assert len(result.epoch_losses) == 4
-        assert result.state is not None and result.state.step == result.steps
+        assert result.state is not None and result.state["step"][0] == result.steps
 
     def test_rejects_label_out_of_range(self):
         feats, labels = separable_toy_data()

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .dsp import AudioBuffer, mfcc
-from .encoder import EncoderConfig, extract_timestamps, init_weights
+from .encoder import _MICRO_BATCH, EncoderConfig, extract_timestamps, init_weights
 from .formats import why_unwritable, write_file_atomic
 from .probe import ProbeConfig, evaluate_probe, train_probe
 from .scene import ALGORITHMS, scene_embedding
@@ -49,7 +49,12 @@ def run_grid(seed: int = 0, clips_per_class: int = 15, probe_epochs: int = 200) 
     weights = init_weights(EncoderConfig(), seed=seed)
     results = []
     for depth in DEPTHS:
-        timestamps = [extract_timestamps(f, weights, depth) for f in features]
+        timestamps = np.concatenate(
+            [
+                extract_timestamps(features[lo : lo + _MICRO_BATCH], weights, depth)
+                for lo in range(0, len(features), _MICRO_BATCH)
+            ]
+        )
         for algorithm in ALGORITHMS:
             embeddings = np.stack([scene_embedding(ts, algorithm) for ts in timestamps])
             probe = train_probe(

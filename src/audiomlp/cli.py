@@ -47,7 +47,14 @@ from .dsp import (
     pad_and_segment,
     resample,
 )
-from .encoder import EncoderConfig, EncoderWeights, extract_timestamps, init_weights, toeplitz_score
+from .encoder import (
+    _MICRO_BATCH,
+    EncoderConfig,
+    EncoderWeights,
+    extract_timestamps,
+    init_weights,
+    toeplitz_score,
+)
 from .formats import (
     FormatError,
     ManifestError,
@@ -120,13 +127,16 @@ def encode_audio(
 ) -> np.ndarray:
     """Decode, resample to 16 kHz, segment, and embed each 1 s segment.
 
+    The encoder runs on stacks of up to _MICRO_BATCH segments' MFCCs, with
+    the same bits per segment as one call each.
     Returns (n_segments, scene_dim) float32, one row per segment in order.
     """
-    audio = _decode_at_model_rate(wav_bytes)
+    segments = pad_and_segment(_decode_at_model_rate(wav_bytes))
     rows = []
-    for segment in pad_and_segment(audio):
-        timestamps = extract_timestamps(mfcc(segment), weights, depth)
-        rows.append(scene_embedding(timestamps, algorithm))
+    for lo in range(0, len(segments), _MICRO_BATCH):
+        features = np.stack([mfcc(segment) for segment in segments[lo : lo + _MICRO_BATCH]])
+        for timestamps in extract_timestamps(features, weights, depth):
+            rows.append(scene_embedding(timestamps, algorithm))
     return np.stack(rows)
 
 

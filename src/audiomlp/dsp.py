@@ -43,6 +43,13 @@ LOG_FLOOR = 1e-10
 _SINC_ZERO_CROSSINGS = 8
 _KAISER_BETA = 8.0
 
+# np.add.reduce adds a row shorter than this in sequence from +0.0, a longer
+# one in eight interleaved partial sums. decode_wav adds fewer channels
+# column by column in that sequence, one add per channel instead of one
+# reduce call per frame, and more with the reduce itself, so its mix has the
+# bits of a per-frame mean either way.
+_PAIRWISE_MIN = 8
+
 # Power series of the Kaiser window's I0(x) = sum_k ((x/2)^2)^k / (k!)^2. Its
 # terms are all positive; on 0 <= x <= _KAISER_BETA the first one left out
 # is below 1e-18 of the sum.
@@ -88,9 +95,9 @@ def decode_wav(data: bytes) -> AudioBuffer:
     """Decode a RIFF/WAVE byte string to a mono AudioBuffer.
 
     Accepts PCM 16-bit (format 1) and IEEE float 32-bit (format 3) with any
-    channel count; channels are averaged. Integer samples are scaled by
-    1/32768; float samples must be finite. Rates below MIN_SAMPLE_RATE
-    raise UnsupportedWavError.
+    channel count; channels are averaged in float64. Integer samples are
+    scaled by 1/32768; float samples must be finite. Rates below
+    MIN_SAMPLE_RATE raise UnsupportedWavError.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError("not a RIFF/WAVE container")
@@ -132,22 +139,33 @@ def decode_wav(data: bytes) -> AudioBuffer:
 
     if fmt["code"] == 1 and fmt["bits"] == 16:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
+        scale = 32768.0
     elif fmt["code"] == 3 and fmt["bits"] == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
         if not np.all(np.isfinite(raw)):
             raise NonFiniteWavError("data chunk holds NaN or infinite samples")
-        samples = raw.astype(np.float64)
+        scale = 1.0
     else:
         raise UnsupportedWavError(
             f"unsupported codec: format {fmt['code']}, {fmt['bits']}-bit"
         )
 
     channels = fmt["channels"]
-    frames = len(samples) // channels
+    frames = len(raw) // channels
     if frames == 0:
         raise EmptyWavError("data chunk holds no samples")
-    samples = samples[: frames * channels].reshape(frames, channels).mean(axis=1)
+    # One float64 array, summed into and scaled in place. PCM16 sums are
+    # whole numbers, exact in any order, and a division by 32768 is exact,
+    # so one division by 32768 * channels gives the bits of averaging the
+    # samples scaled by 1/32768.
+    interleaved = raw[: frames * channels].reshape(frames, channels)
+    if channels < _PAIRWISE_MIN:
+        samples = np.zeros(frames)
+        for c in range(channels):
+            samples += interleaved[:, c]
+    else:
+        samples = interleaved.astype(np.float64).sum(axis=1)
+    samples /= scale * channels
     return AudioBuffer(samples=samples, sample_rate=fmt["rate"])
 
 

@@ -49,6 +49,14 @@ from .dsp import N_FRAMES, N_MFCC
 
 LN_EPS = 1e-5
 
+# Examples per encode call in every batched forward: trainer.loss_and_grads
+# and trainer.predict, cli's embed and the ablation grid. One BLAS thread,
+# 2-CPU host: in the depth-12, batch-64 training benchmark 2, 4 and 8 ran at
+# 39.9, 40.7 and 40.3 audio-s/s, equal within noise, and peaked at 65, 74
+# and 88 MB RSS; a 10 s embed took 82.0, 74.8, 69.9, 71.0 and 70.4 ms
+# (medians) at 1, 2, 4, 8 and 16. 4 is on both plateaus.
+_MICRO_BATCH = 4
+
 # Blocks at most. One block at the default widths is 34,982 float32 values
 # (140 KB), so 1,024 blocks hold 137 MiB of weights, and training keeps
 # about four times that (weights, gradients, two AdamW moments).
@@ -469,16 +477,21 @@ def extract_timestamps(
 ) -> np.ndarray:
     """Timestamp embeddings: one dim-sized vector per MFCC frame.
 
-    depth selects how many blocks to run (default: all of them); the final
-    norm is applied whatever the depth, so embeddings from different depths
-    live on the same scale.
+    features is one (n_mfcc, n_frames) grid, giving (n_frames, dim), or a
+    (B, n_mfcc, n_frames) stack, giving (B, n_frames, dim) with the same
+    bits per grid as one call each. depth selects how many blocks to run
+    (default: all of them); the final norm is applied whatever the depth,
+    so embeddings from different depths live on the same scale.
     """
     config = weights.config
-    check_features(features, config)
+    batched = features.ndim == 3
+    check_features(features, config, batched=batched)
     if depth is None:
         depth = config.depth
     if not 0 <= depth <= config.depth:
         raise ValueError(f"depth {depth} outside [0, {config.depth}]")
+    if batched:
+        return encode(features, weights.tensors, depth)
     return encode(features[None], weights.tensors, depth)[0]
 
 

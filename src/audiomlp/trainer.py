@@ -28,17 +28,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncoderConfig, EncoderWeights, check_features, encode, encode_backward
+from .encoder import (
+    _MICRO_BATCH,
+    EncoderConfig,
+    EncoderWeights,
+    check_features,
+    encode,
+    encode_backward,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# Examples per forward/backward pass in loss_and_grads and predict. In the
-# depth-12, batch-64 training benchmark (one BLAS thread, 2-CPU host), 2, 4
-# and 8 ran at 39.9, 40.7 and 40.3 audio-s/s, equal within noise, and
-# peaked at 65, 74 and 88 MB RSS; 4 makes half the numpy calls of 2.
-_MICRO_BATCH = 4
 
 
 class TrainingDivergedError(ValueError):

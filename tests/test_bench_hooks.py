@@ -73,3 +73,20 @@ def test_train_and_embed_record_spans(spans, tmp_path, capsys):
     ]
     assert nested
     assert not tracer.errors
+
+
+def test_embed_runs_the_encoder_once_per_micro_batch(spans, tmp_path, capsys):
+    wav = tmp_path / "five.wav"
+    wav.write_bytes(make_wav(sine_clip(440.0, seconds=5.0)))
+    weights = tmp_path / "model.kwm1"
+    save_weights(weights, init_weights(EncoderConfig(depth=1), seed=0))
+    with spans.Tracer() as tracer:
+        code = main(
+            ["embed", str(wav), "--weights", str(weights), "--output", str(tmp_path / "five.emb1")]
+        )
+    assert code == 0
+    names = [span["name"] for span in tracer.spans]
+    # five segments, in micro-batches of 4 and 1, all through cli's globals
+    assert names.count("dsp.mfcc") == 5
+    assert names.count("encoder.extract_timestamps") == 2
+    assert not tracer.errors

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from audiomlp.cli import build_parser, main
-from audiomlp.encoder import MAX_DEPTH, EncoderConfig, init_weights
+from audiomlp.cli import build_parser, encode_audio, main
+from audiomlp.dsp import decode_wav, mfcc, pad_and_segment
+from audiomlp.encoder import MAX_DEPTH, EncoderConfig, extract_timestamps, init_weights
 from audiomlp.formats import (
     WEIGHTS_MAGIC,
     load_embeddings,
@@ -20,6 +22,7 @@ from audiomlp.formats import (
     write_tensor_table,
 )
 from audiomlp.probe import ProbeConfig
+from audiomlp.scene import scene_embedding
 from audiomlp.trainer import TrainConfig
 from conftest import make_wav, noise_clip, sine_clip
 
@@ -276,6 +279,26 @@ class TestEmbed:
             ]
         )
         assert code == 1
+
+
+class TestEncodeAudio:
+    @pytest.fixture(scope="class")
+    def weights(self):
+        return init_weights(EncoderConfig(), seed=1)
+
+    # 1, 4, 5 and 9 segments: one partial micro-batch, one full, one full and
+    # one more, two full and one more
+    @pytest.mark.parametrize("seconds", [1.0, 4.0, 4.5, 8.2])
+    @pytest.mark.parametrize("depth", [0, 5, None])
+    def test_rows_equal_one_segment_at_a_time(self, weights, seconds, depth):
+        wav = make_wav(noise_clip(np.random.default_rng(3), seconds=seconds))
+        segments = pad_and_segment(decode_wav(wav))
+        stamps = [extract_timestamps(mfcc(segment), weights, depth) for segment in segments]
+        for algorithm in ("mean", "single", "iterative"):
+            expected = np.stack([scene_embedding(ts, algorithm) for ts in stamps])
+            got = encode_audio(wav, weights, algorithm, depth)
+            assert got.shape == (math.ceil(seconds), 1024)
+            assert got.tobytes() == expected.tobytes()
 
 
 def write_tiny_dataset(tmp_path, n_per_class=3):

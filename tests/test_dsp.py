@@ -57,6 +57,38 @@ class TestDecodeWav:
         assert buf.sample_rate == 44100
         np.testing.assert_array_equal(buf.samples, vals.astype(np.float64))
 
+    @pytest.mark.parametrize("channels", [1, 2, 3, 8, 9])
+    def test_pcm16_mix_has_the_bits_of_the_scaled_mean(self, channels):
+        ints = np.random.default_rng(channels).integers(-32768, 32768, (50, channels))
+        ints[0], ints[1], ints[2, ::2], ints[3, 1::2] = -32768, 32767, -32768, 32767
+        got = decode_wav(make_wav(ints / 32768.0)).samples
+        expected = (ints.astype("<i2").astype(np.float64) / 32768.0).mean(axis=1)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("channels", [2, 3, 8, 9])
+    def test_float32_mix_has_the_bits_of_the_float64_mean(self, channels):
+        rng = np.random.default_rng(channels)
+        values = rng.standard_normal((60, channels))
+        values *= np.exp(rng.uniform(-80.0, 80.0, (60, channels)))
+        values[0], values[1], values[2] = 0.0, -0.0, 3.4e38
+        values[3], values[4], values[5] = -3.4e38, 1e-45, -1.4e-45
+        values[6, ::2], values[6, 1::2] = 3.4e38, -3.4e38
+        values[7, ::2], values[7, 1::2] = -0.0, 2e-40
+        raw = values.astype(np.float32)
+        got = decode_wav(make_wav(raw, encoding="float32")).samples
+        assert got.tobytes() == raw.astype(np.float64).mean(axis=1).tobytes()
+
+    def test_mono_float32_negative_zero_decodes_as_positive_zero(self):
+        samples = decode_wav(make_wav(np.array([-0.0, 0.5, -0.0]), encoding="float32")).samples
+        assert samples.tobytes() == np.array([0.0, 0.5, 0.0]).tobytes()
+        # nor could a -0.0 reach the features: mfcc squares the spectrum's magnitude
+        signal = np.zeros(16000)
+        signal[::3] = 0.25
+        negative = signal.copy()
+        negative[signal == 0.0] = -0.0
+        expected = mfcc(AudioBuffer(signal, 16000))
+        assert mfcc(AudioBuffer(negative, 16000)).tobytes() == expected.tobytes()
+
     def test_skips_unknown_chunks_with_odd_padding(self):
         wav = bytearray(make_wav([0.5]))
         # splice a 3-byte LIST chunk (plus pad byte) between header and fmt

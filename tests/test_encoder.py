@@ -406,6 +406,20 @@ class TestExtract:
         feats = np.full((4, 6), 0.25, dtype=np.float32)
         assert extract_timestamps(feats, w).tobytes() == extract_timestamps(feats, w).tobytes()
 
+    @pytest.mark.parametrize("depth", [0, 5, None])
+    def test_stack_equals_its_grids_one_at_a_time(self, depth):
+        w = init_weights(EncoderConfig(), seed=3)
+        feats = np.random.default_rng(12).standard_normal((5, 40, 98)).astype(np.float32)
+        stacked = extract_timestamps(feats, w, depth)
+        assert stacked.shape == (5, 98, 64)
+        expected = np.stack([extract_timestamps(f, w, depth) for f in feats])
+        assert stacked.tobytes() == expected.tobytes()
+
+    def test_stack_of_another_grid_shape_rejected(self):
+        w = init_weights(EncoderConfig())
+        with pytest.raises(ValueError, match=r"\(2, 6, 4\) != \(B, 40, 98\)"):
+            extract_timestamps(np.ones((2, 6, 4), dtype=np.float32), w)
+
 
 class TestToeplitzScore:
     def test_exact_toeplitz_scores_one(self):

@@ -15,12 +15,12 @@ unreadable, malformed, non-finite or inconsistent with their meta (a
 meta depth above 1,024 among them), and for embed weights of another
 feature geometry than the front end's or finite weights whose
 embeddings overflow to NaN or Inf (nothing is written); 3 unreadable or
-undecodable audio, rates below 1 kHz among it; 4 manifest problems,
-among them a label not below the number of entries; 5 probe data
-problems (non-finite embeddings, embeddings and labels that do not line
-up, fewer than two classes, a label not below the number of examples, a
-non-finite learning rate, more than 65,536 hidden units, a non-finite
-loss, optimizer state or final logits).
+undecodable audio, rates below 1 kHz or above 384 kHz among it; 4
+manifest problems, among them a label not below the number of entries;
+5 probe data problems (non-finite embeddings, embeddings and labels
+that do not line up, fewer than two classes, a label not below the
+number of examples, a non-finite learning rate, more than 65,536 hidden
+units, a non-finite loss, optimizer state or final logits).
 Every command prints a single JSON line with its results.
 """
 

@@ -16,16 +16,21 @@ import. All functions are pure; none keep state between calls.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 TARGET_RATE = 16000
 SEGMENT_SAMPLES = TARGET_RATE  # one second at the model rate
-# Lowest rate decode_wav accepts. Resampling to TARGET_RATE multiplies the
+# Rates decode_wav accepts. Resampling to TARGET_RATE multiplies the
 # sample count by TARGET_RATE / rate, so a header claiming a few Hz would
-# turn a small file into gigabytes of output.
+# turn a small file into gigabytes of output. The ceiling is the highest
+# standard rate: a rate that shares no factor with TARGET_RATE makes
+# resample tabulate TARGET_RATE kernel phases of about rate / 1000 taps:
+# 949 MB to embed 1 s of audio that claims 1,000,003 Hz.
 MIN_SAMPLE_RATE = 1000
+MAX_SAMPLE_RATE = 384_000
 
 # MFCC geometry: 30 ms Hann window, 10 ms hop, power spectrum, 40 mel
 # filters, 40 DCT-II coefficients.
@@ -49,6 +54,13 @@ _KAISER_BETA = 8.0
 # reduce call per frame, and more with the reduce itself, so its mix has the
 # bits of a per-frame mean either way.
 _PAIRWISE_MIN = 8
+
+# A chunk header (id, body size) and the fmt fields decode_wav reads: format
+# code, channels, rate and bits per sample, past byte rate and block align.
+_CHUNK = struct.Struct("<4sI")
+_FMT = struct.Struct("<HHI6xH")
+# (format code, bits per sample) -> (sample dtype, full scale)
+_CODECS = {(1, 16): (np.dtype("<i2"), 32768.0), (3, 32): (np.dtype("<f4"), 1.0)}
 
 # Power series of the Kaiser window's I0(x) = sum_k ((x/2)^2)^k / (k!)^2. Its
 # terms are all positive; on 0 <= x <= _KAISER_BETA the first one left out
@@ -97,60 +109,51 @@ def decode_wav(data: bytes) -> AudioBuffer:
     Accepts PCM 16-bit (format 1) and IEEE float 32-bit (format 3) with any
     channel count; channels are averaged in float64. Integer samples are
     scaled by 1/32768; float samples must be finite. Rates below
-    MIN_SAMPLE_RATE raise UnsupportedWavError.
+    MIN_SAMPLE_RATE or above MAX_SAMPLE_RATE raise UnsupportedWavError.
+    Headers are unpacked and samples read in place in `data`: the float64
+    output is the only array as large as the audio.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError("not a RIFF/WAVE container")
 
     fmt = None
-    payload = None
+    payload = None  # offset and size of the last data chunk's body
     pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        size = int.from_bytes(data[pos + 4 : pos + 8], "little")
-        body = data[pos + 8 : pos + 8 + size]
-        if len(body) < size:
+    while pos + _CHUNK.size <= len(data):
+        chunk_id, size = _CHUNK.unpack_from(data, pos)
+        pos += _CHUNK.size
+        if pos + size > len(data):
             raise MalformedWavError(f"truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
-            if size < 16:
+            if size < _FMT.size:
                 raise MalformedWavError("fmt chunk too short")
-            fmt = {
-                "code": int.from_bytes(body[0:2], "little"),
-                "channels": int.from_bytes(body[2:4], "little"),
-                "rate": int.from_bytes(body[4:8], "little"),
-                "bits": int.from_bytes(body[14:16], "little"),
-            }
+            fmt = _FMT.unpack_from(data, pos)
         elif chunk_id == b"data":
-            payload = body
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
+            payload = pos, size
+        pos += size + (size & 1)  # chunks are word-aligned
 
     if fmt is None:
         raise MalformedWavError("missing fmt chunk")
     if payload is None:
         raise MalformedWavError("missing data chunk")
-    if fmt["channels"] < 1:
+    code, channels, rate, bits = fmt
+    if channels < 1:
         raise MalformedWavError("fmt declares zero channels")
-    if fmt["rate"] <= 0:
+    if rate <= 0:
         raise MalformedWavError("fmt declares non-positive sample rate")
-    if fmt["rate"] < MIN_SAMPLE_RATE:
-        raise UnsupportedWavError(
-            f"sample rate {fmt['rate']} Hz is below the {MIN_SAMPLE_RATE} Hz floor"
-        )
+    if rate < MIN_SAMPLE_RATE:
+        raise UnsupportedWavError(f"sample rate {rate} Hz is below the {MIN_SAMPLE_RATE} Hz floor")
+    if rate > MAX_SAMPLE_RATE:
+        raise UnsupportedWavError(f"sample rate {rate} Hz is above the {MAX_SAMPLE_RATE} Hz ceiling")
+    if (code, bits) not in _CODECS:
+        raise UnsupportedWavError(f"unsupported codec: format {code}, {bits}-bit")
 
-    if fmt["code"] == 1 and fmt["bits"] == 16:
-        raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
-        scale = 32768.0
-    elif fmt["code"] == 3 and fmt["bits"] == 32:
-        raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
-        if not np.all(np.isfinite(raw)):
-            raise NonFiniteWavError("data chunk holds NaN or infinite samples")
-        scale = 1.0
-    else:
-        raise UnsupportedWavError(
-            f"unsupported codec: format {fmt['code']}, {fmt['bits']}-bit"
-        )
+    dtype, scale = _CODECS[code, bits]
+    offset, size = payload
+    raw = np.frombuffer(data, dtype, size // dtype.itemsize, offset)
+    if dtype.kind == "f" and not np.all(np.isfinite(raw)):
+        raise NonFiniteWavError("data chunk holds NaN or infinite samples")
 
-    channels = fmt["channels"]
     frames = len(raw) // channels
     if frames == 0:
         raise EmptyWavError("data chunk holds no samples")
@@ -166,7 +169,7 @@ def decode_wav(data: bytes) -> AudioBuffer:
     else:
         samples = interleaved.astype(np.float64).sum(axis=1)
     samples /= scale * channels
-    return AudioBuffer(samples=samples, sample_rate=fmt["rate"])
+    return AudioBuffer(samples=samples, sample_rate=rate)
 
 
 def _bessel_i0(x) -> np.ndarray:

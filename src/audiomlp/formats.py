@@ -228,7 +228,7 @@ def load_embeddings(path) -> np.ndarray:
     expected = 12 + rows * cols * 4
     if len(data) != expected:
         raise FormatError(f"embeddings payload is {len(data) - 12} bytes, expected {expected - 12}")
-    matrix = np.frombuffer(data[12:], dtype="<f4").reshape(rows, cols).copy()
+    matrix = np.frombuffer(data, "<f4", rows * cols, 12).reshape(rows, cols).copy()
     if not np.isfinite(matrix).all():
         raise FormatError("embeddings hold NaN or infinite values")
     return matrix

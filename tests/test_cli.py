@@ -171,6 +171,19 @@ class TestEmbed:
         assert "NaN" in capsys.readouterr().err
         assert not (tmp_path / "o.emb1").exists()
 
+    def test_rate_above_the_ceiling_exits_3_and_writes_nothing(
+        self, tmp_path, default_weights_file, capsys
+    ):
+        wav = tmp_path / "fast.wav"
+        wav.write_bytes(make_wav(sine_clip(440.0, rate=768_000, seconds=0.1), rate=768_000))
+        out = tmp_path / "o.emb1"
+        argv = ["embed", str(wav), "--weights", str(default_weights_file), "--output", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sample rate 768000 Hz is above the 384000 Hz ceiling" in captured.err
+        assert not out.exists()
+
     def test_missing_weights_exits_2(self, tmp_path):
         wav = tmp_path / "a.wav"
         wav.write_bytes(make_wav(sine_clip(440.0)))
@@ -424,6 +437,18 @@ class TestTrain:
         code = main(["train", "--manifest", str(manifest), "--output", str(out)] + TRAIN_FLAGS)
         assert code == 3
         assert not out.exists()
+
+    def test_rate_above_the_ceiling_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        manifest = write_tiny_dataset(tmp_path)
+        clip = sine_clip(300.0, rate=768_000, seconds=0.1)
+        (tmp_path / "sine1.wav").write_bytes(make_wav(clip, rate=768_000))
+        out = tmp_path / "m.kwm1"
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)] + TRAIN_FLAGS)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sample rate 768000 Hz is above the 384000 Hz ceiling" in captured.err
+        assert list(tmp_path.glob("m.*")) == []
 
     def test_unwritable_output_exits_1_before_training(self, tmp_path, capsys, monkeypatch):
         manifest = write_tiny_dataset(tmp_path)

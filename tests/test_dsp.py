@@ -137,6 +137,55 @@ class TestDecodeWav:
             decode_wav(make_wav([0.0, 0.5], rate=999))
         assert decode_wav(make_wav([0.0, 0.5], rate=1000)).sample_rate == 1000
 
+    def test_rate_ceiling(self):
+        with pytest.raises(UnsupportedWavError) as info:
+            decode_wav(make_wav([0.0, 0.5], rate=384001))
+        assert str(info.value) == "sample rate 384001 Hz is above the 384000 Hz ceiling"
+        assert decode_wav(make_wav([0.0, 0.5], rate=384000)).sample_rate == 384000
+
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    @pytest.mark.parametrize("fmt_size", [18, 40])
+    def test_long_fmt_chunk_extra_bytes_skipped(self, fmt_size, encoding):
+        raw = _RAW[encoding]
+        fmt = _fmt(code=1 if encoding == "pcm16" else 3, bits=8 * raw.itemsize, rate=22050)
+        fmt += b"\xff" * (fmt_size - 16)  # the data body starts misaligned for float32
+        buf = decode_wav(_riff((b"fmt ", fmt), (b"data", raw.tobytes())))
+        assert buf.sample_rate == 22050
+        assert buf.samples.tobytes() == _scaled(raw).tobytes()
+
+    def test_chunk_after_data_skipped(self):
+        wav = _riff((b"fmt ", _fmt()), (b"data", _RAW["pcm16"].tobytes()), (b"LIST", b"INFOabc"))
+        buf = decode_wav(wav)
+        assert buf.sample_rate == 16000
+        assert buf.samples.tobytes() == _scaled(_RAW["pcm16"]).tobytes()
+
+    def test_last_of_two_data_chunks_wins(self):
+        first, last = _RAW["pcm16"], np.array([7, -7, 1000], dtype="<i2")
+        wav = _riff((b"fmt ", _fmt()), (b"data", first.tobytes()), (b"data", last.tobytes()))
+        buf = decode_wav(wav)
+        assert buf.sample_rate == 16000
+        assert buf.samples.tobytes() == _scaled(last).tobytes()
+
+    def test_odd_data_chunk_pad_byte_skipped(self):
+        # 2 samples and a stray byte, its pad byte, then the fmt chunk
+        body = _RAW["pcm16"][:2].tobytes() + b"\x01"
+        buf = decode_wav(_riff((b"data", body), (b"fmt ", _fmt(rate=8000))))
+        assert buf.sample_rate == 8000
+        assert buf.samples.tobytes() == _scaled(_RAW["pcm16"][:2]).tobytes()
+
+    def test_peak_memory_is_about_its_output(self):
+        # samples are read in place, so 10 s of 44.1 kHz stereo PCM16 peaks at
+        # its float64 output plus ufunc buffers (1.52x when the data chunk was copied)
+        wav = make_wav(np.random.default_rng(2).uniform(-1.0, 1.0, (441000, 2)), rate=44100)
+        tracemalloc.start()
+        try:
+            samples = decode_wav(wav).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 441000
+        assert peak <= 1.1 * samples.nbytes, f"peak {peak / samples.nbytes:.2f}x the output"
+
     def test_zero_channels_rejected(self):
         wav = bytearray(make_wav([0.5]))
         fmt_at = bytes(wav).index(b"fmt ") + 8
@@ -176,6 +225,30 @@ class TestDecodeWav:
             at = wav.index(chunk_id) + 4
             wav[at : at + 4] = struct.pack("<I", size)
         _assert_decodes_or_raises_decode_error(bytes(wav))
+
+
+# samples of each codec, extremes included
+_RAW = {
+    "pcm16": np.array([1, -2, 32767, -32768, 0], dtype="<i2"),
+    "float32": np.array([0.1, -0.9, 1e-40, -3.4e38, 0.0], dtype="<f4"),
+}
+
+
+def _scaled(raw: np.ndarray) -> np.ndarray:
+    return raw.astype(np.float64) / (32768.0 if raw.dtype.kind == "i" else 1.0)
+
+
+def _fmt(code: int = 1, bits: int = 16, rate: int = 16000, channels: int = 1) -> bytes:
+    block = channels * bits // 8
+    return struct.pack("<HHIIHH", code, channels, rate, rate * block, block, bits)
+
+
+def _riff(*chunks: tuple[bytes, bytes]) -> bytes:
+    """RIFF/WAVE bytes holding (id, body) chunks in order, each padded to an even size."""
+    body = b"WAVE"
+    for chunk_id, data in chunks:
+        body += chunk_id + struct.pack("<I", len(data)) + data + b"\0" * (len(data) & 1)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 def _assert_decodes_or_raises_decode_error(data: bytes) -> None:

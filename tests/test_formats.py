@@ -294,6 +294,20 @@ class TestEmbeddingsFile:
         with pytest.raises(FormatError):
             load_embeddings(path)
 
+    def test_load_peaks_below_two_and_a_half_matrices(self, tmp_path):
+        # the file's bytes, the matrix copied straight out of them and the
+        # finiteness mask (3.0x when the payload was sliced off first)
+        path = tmp_path / "e.emb1"
+        save_embeddings(path, np.random.default_rng(6).standard_normal((2000, 1024)))
+        tracemalloc.start()
+        try:
+            matrix = load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (2000, 1024)
+        assert peak <= 2.5 * matrix.nbytes, f"peak {peak / matrix.nbytes:.2f}x the matrix"
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, value):
         emb = np.ones((6, 8), dtype=np.float32)

@@ -156,8 +156,15 @@ def test_embed_and_probe_keep_their_exit_code_contract(tmp_path):
     (tmp_path / "good.txt").write_text("0\n1\n0\n1\n0\n1\n")
 
     cases = []  # (argv, the file it may write)
-    # one header claims 1 Hz: past the rate floor, its 40 KB would resample to 2.4 GiB
-    wavs = draw_all(wav_files(), 90) + [make_wav(sine_clip(440.0, seconds=1.25), rate=1)]
+    # One header claims 1 Hz: past the rate floor, its 40 KB would resample to
+    # 2.4 GiB. Rates that share no factor with 16 kHz make resample tabulate
+    # 16,000 kernel phases: 1 s at 2,000,003 Hz (4 MB), past the rate ceiling,
+    # would outgrow the cap; 1 s at 383,987 Hz, the worst rate below it, embeds.
+    wavs = draw_all(wav_files(), 90) + [
+        make_wav(sine_clip(440.0, seconds=1.25), rate=1),
+        make_wav(sine_clip(440.0, rate=2_000_003), rate=2_000_003),
+        make_wav(sine_clip(440.0, rate=383_987), rate=383_987),
+    ]
     for i, wav in enumerate(wavs):
         (tmp_path / f"{i}.wav").write_bytes(wav)
         fmt = ("emb1", "csv")[i % 2]
@@ -179,6 +186,9 @@ def test_embed_and_probe_keep_their_exit_code_contract(tmp_path):
 
     results = run_in_capped_child([argv for argv, _ in cases], tmp_path)
     assert len(results) == len(cases)
+    above, worst = results[len(wavs) - 2], results[len(wavs) - 1]
+    assert above[0] == 3 and "above the 384000 Hz ceiling" in above[2], above
+    assert worst[0] == 0, worst
     for (argv, out), (code, stdout, stderr) in zip(cases, results):
         assert "Traceback" not in stderr, (argv, stderr)
         assert code in range(6), (argv, code, stderr)

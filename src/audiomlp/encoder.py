@@ -15,9 +15,9 @@ encode_backward consumes. The cache is this module's own format:
 cache["blocks"][i] holds block i's two norms' normalized inputs and
 inverse deviations ("xhat1", "istd1", "xhat2", "istd2"), the GELU
 derivative "dgelu", a copy of the value half "value", the mixed gate
-"mixed", the gated product "gated" and the branch factors "scale"; the
-final norm's statistics are "xhat_f" and "istd_f". The norm outputs are
-recomputed from xhat rather than kept, with the same bits.
+"mixed" and the branch factors "scale"; the final norm's statistics are
+"xhat_f" and "istd_f". The backward pass recomputes the norm outputs from
+xhat and the gated product as value * mixed, with the same bits.
 
 GELU is exact, u * Phi(u) (Hendrycks & Gimpel, arXiv 1606.08415).
 float32, the dtype of embedding and training, computes Phi(u) = 1/2 +
@@ -378,7 +378,7 @@ def block_forward(
     else:
         gated = value * mixed
         # a copy, so the cache does not keep the whole GELU output alive
-        cache.update(value=value.copy(), mixed=mixed, gated=gated, scale=scale)
+        cache.update(value=value.copy(), mixed=mixed, scale=scale)
     branch = gated @ tensors[p + "V"]
     branch += tensors[p + "V.bias"]
     if scale is not None:
@@ -420,49 +420,52 @@ def _flat(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
-def encode_backward(
-    dts: np.ndarray, features: np.ndarray, tensors: dict[str, np.ndarray], cache: dict
-) -> dict[str, np.ndarray]:
-    """Gradients of encode's tensors, given dts, the gradient of its output.
+def add_grad(totals: dict[str, np.ndarray], name: str, grad: np.ndarray) -> None:
+    """totals[name] += grad, or totals[name] = grad for a name not yet in totals."""
+    if name in totals:
+        totals[name] += grad
+    else:
+        totals[name] = grad
 
-    features and cache are the input and the cache of the encode call.
-    Each block's entry is removed from the cache once that block's
-    gradients are formed, so the cache shrinks as the gradients grow.
+
+def encode_backward(
+    dts: np.ndarray, features: np.ndarray, tensors: dict[str, np.ndarray], cache: dict, grads: dict
+) -> None:
+    """Add the gradients of encode's tensors into the totals grads (add_grad).
+
+    dts is the gradient of encode's output, and features and cache are the
+    input and the cache of that call. Each gradient is added as soon as it
+    is formed, and each block's cache entry is removed once it is done.
     """
     t = tensors
-    grads: dict[str, np.ndarray] = {}
-    dx, grads["final_norm.scale"], grads["final_norm.shift"] = layer_norm_backward(
-        dts, cache["xhat_f"], cache["istd_f"], t["final_norm.scale"]
-    )
+
+    def norm_backward(dy, c, k, name):
+        dx, *dparams = layer_norm_backward(dy, c["xhat" + k], c["istd" + k], t[name + ".scale"])
+        for leaf, grad in zip((".scale", ".shift"), dparams):
+            add_grad(grads, name + leaf, grad)
+        return dx
+
+    dx = norm_backward(dts, cache, "_f", "final_norm")
     for i in reversed(range(len(cache["blocks"]))):
         p = f"block.{i}."
         bc = cache["blocks"].pop()
         dbranch = dx if bc["scale"] is None else dx * bc["scale"][:, None, None]
-        grads[p + "V"] = _flat(bc["gated"]).T @ _flat(dbranch)
-        grads[p + "V.bias"] = dbranch.sum(axis=(0, 1))
+        add_grad(grads, p + "V", _flat(bc["value"] * bc["mixed"]).T @ _flat(dbranch))
+        add_grad(grads, p + "V.bias", dbranch.sum(axis=(0, 1)))
         dgated = dbranch @ t[p + "V"].T
         dvalue = dgated * bc["mixed"]
         dmixed = dgated * bc["value"]
         n2 = bc["xhat2"] * t[p + "gate_norm.scale"] + t[p + "gate_norm.shift"]
-        grads[p + "G"] = (dmixed @ np.swapaxes(n2, 1, 2)).sum(axis=0)
-        grads[p + "G.bias"] = dmixed.sum(axis=(0, 2))
-        dn2 = np.matmul(t[p + "G"].T, dmixed)
-        dgate, grads[p + "gate_norm.scale"], grads[p + "gate_norm.shift"] = layer_norm_backward(
-            dn2, bc["xhat2"], bc["istd2"], t[p + "gate_norm.scale"]
-        )
-        dhidden = np.concatenate([dvalue, dgate], axis=-1)
-        dupre = dhidden * bc["dgelu"]
+        add_grad(grads, p + "G", (dmixed @ np.swapaxes(n2, 1, 2)).sum(axis=0))
+        add_grad(grads, p + "G.bias", dmixed.sum(axis=(0, 2)))
+        dgate = norm_backward(np.matmul(t[p + "G"].T, dmixed), bc, "2", p + "gate_norm")
+        dupre = np.concatenate([dvalue, dgate], axis=-1) * bc["dgelu"]
         n1 = bc["xhat1"] * t[p + "pre_norm.scale"] + t[p + "pre_norm.shift"]
-        grads[p + "U"] = _flat(n1).T @ _flat(dupre)
-        grads[p + "U.bias"] = dupre.sum(axis=(0, 1))
-        dn1 = dupre @ t[p + "U"].T
-        dxpre, grads[p + "pre_norm.scale"], grads[p + "pre_norm.shift"] = layer_norm_backward(
-            dn1, bc["xhat1"], bc["istd1"], t[p + "pre_norm.scale"]
-        )
-        dx = dx + dxpre
-    grads["P0"] = _flat(np.swapaxes(features, 1, 2)).T @ _flat(dx)
-    grads["P0.bias"] = dx.sum(axis=(0, 1))
-    return grads
+        add_grad(grads, p + "U", _flat(n1).T @ _flat(dupre))
+        add_grad(grads, p + "U.bias", dupre.sum(axis=(0, 1)))
+        dx = dx + norm_backward(dupre @ t[p + "U"].T, bc, "1", p + "pre_norm")
+    add_grad(grads, "P0", _flat(np.swapaxes(features, 1, 2)).T @ _flat(dx))
+    add_grad(grads, "P0.bias", dx.sum(axis=(0, 1)))
 
 
 def check_features(features: np.ndarray, cfg: EncoderConfig, batched: bool = False) -> None:

@@ -11,9 +11,9 @@ Embedding files ("EMB1") are a plain matrix: magic, u32 rows, u32 cols,
 float32 payload. The CSV flavor writes one row per line with %.9g, which
 round-trips float32 exactly.
 
-Every file is written whole to a temp file in the target's directory and
-then renamed over the target, so a write that fails leaves any old file
-as it was and no partial file behind.
+Every file is written part by part to a temp file in the target's
+directory and then renamed over the target, so a write that fails leaves
+any old file as it was and no partial file behind.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class ManifestError(ValueError):
     """A training manifest line is malformed."""
 
 
-def write_file_atomic(path, data: bytes) -> None:
-    """Write data to a new temp file beside path, then rename it to path.
+def write_file_atomic(path, *parts) -> None:
+    """Write parts, each from its own buffer, to a temp file beside path; rename it to path.
 
     If anything fails, the temp file is removed and an existing file at
     path keeps its old bytes.
@@ -61,7 +61,8 @@ def write_file_atomic(path, data: bytes) -> None:
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -83,8 +84,7 @@ def why_unwritable(path) -> str | None:
 
 def write_tensor_table(path, magic: bytes, tensors: dict[str, np.ndarray]) -> None:
     """Serialize named tensors in dict order; dtypes are forced to f32/u32."""
-    blob = bytearray(magic)
-    blob += _U32.pack(len(tensors))
+    parts = [magic, _U32.pack(len(tensors))]
     for name, tensor in tensors.items():
         arr = np.ascontiguousarray(tensor)
         if arr.ndim > _MAX_RANK:
@@ -92,11 +92,10 @@ def write_tensor_table(path, magic: bytes, tensors: dict[str, np.ndarray]) -> No
         code = 1 if arr.dtype.kind in "ui" else 0
         arr = arr.astype(_DTYPE_FOR_CODE[code], copy=False)
         encoded = name.encode("utf-8")
-        blob += _U16.pack(len(encoded)) + encoded
-        blob += _U8_PAIR.pack(code, arr.ndim)
-        blob += _DIMS[arr.ndim].pack(*arr.shape)
-        blob += arr.tobytes()
-    write_file_atomic(path, bytes(blob))
+        header = _U16.pack(len(encoded)) + encoded + _U8_PAIR.pack(code, arr.ndim)
+        parts += [header + _DIMS[arr.ndim].pack(*arr.shape), arr]
+    # every tensor is checked before the file is opened; no joined copy is made
+    write_file_atomic(path, *parts)
 
 
 def _truncated(what: str) -> FormatError:
@@ -216,8 +215,8 @@ def save_embeddings(path, matrix: np.ndarray) -> None:
     if matrix.ndim != 2:
         raise ValueError("embeddings must be a row-per-example matrix")
     rows, cols = matrix.shape
-    payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
-    write_file_atomic(path, EMBEDDINGS_MAGIC + _EMB1_SHAPE.pack(rows, cols) + payload)
+    payload = np.ascontiguousarray(matrix, dtype="<f4")
+    write_file_atomic(path, EMBEDDINGS_MAGIC + _EMB1_SHAPE.pack(rows, cols), payload)
 
 
 def load_embeddings(path) -> np.ndarray:
@@ -276,8 +275,8 @@ def load_manifest(path) -> list[tuple[Path, int]]:
 
 def write_pgm(path, image: np.ndarray) -> None:
     """Binary PGM (P5), 8-bit grayscale."""
-    image = np.asarray(image)
+    image = np.ascontiguousarray(image)
     if image.ndim != 2 or image.dtype != np.uint8:
         raise ValueError("PGM writer expects a 2-D uint8 image")
     height, width = image.shape
-    write_file_atomic(path, f"P5\n{width} {height}\n255\n".encode("ascii") + image.tobytes())
+    write_file_atomic(path, f"P5\n{width} {height}\n255\n".encode("ascii"), image)

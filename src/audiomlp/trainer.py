@@ -11,14 +11,14 @@ same names with "m."/"v." prefixes, the table an OPT1 file holds.
 
 A step runs in micro-batches of _MICRO_BATCH examples. loss_and_grads
 draws every block's stochastic-depth decisions for the whole batch first,
-then runs forward, loss and backward on one slice at a time and adds the
-slices' weight gradients together. Examples never interact (layer norm
-works per frame, pooling per example), so the loss and the random stream
-are those of one pass over the whole batch, and only the float summation
-order of the gradients differs. Only one slice's cache is alive at a
-time, so a step's memory does not grow with the batch size, and a
-slice's activations stay in the CPU cache. predict runs in the same
-micro-batches.
+then runs forward, loss and backward on one slice at a time, adding each
+weight gradient into the step's totals as soon as it is formed. Examples
+never interact (layer norm works per frame, pooling per example), so the
+loss and the random stream are those of one pass over the whole batch,
+and only the float summation order of the gradients differs. Only one
+slice's cache is alive at a time, so a step's memory does not grow with
+the batch size, and a slice's activations stay in the CPU cache. predict
+runs in the same micro-batches.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .encoder import (
     _MICRO_BATCH,
     EncoderConfig,
     EncoderWeights,
+    add_grad,
     check_features,
     encode,
     encode_backward,
@@ -231,7 +232,8 @@ def loss_and_grads(
     (_branch_scales). Forward, loss rows and backward (the head's
     gradients here, the encoder's from encode_backward) then run on
     _MICRO_BATCH examples at a time; each slice's cache is dropped before
-    the next forward, and its gradients are added into the totals.
+    the next forward. Every gradient is added into the step's totals as
+    it is formed, so a slice never holds a full set of its own.
     dlogits is divided by the whole batch's size.
     """
     cfg, t = weights.config, weights.tensors
@@ -252,15 +254,11 @@ def loss_and_grads(
         row, residual = _cross_entropy_terms(logits, labels[part], label_smoothing)
         rows.append(row)
         dlogits = residual / n
-        part_grads = {"head.W": cache["pooled"].T @ dlogits, "head.bias": dlogits.sum(axis=0)}
+        add_grad(grads, "head.W", cache["pooled"].T @ dlogits)
+        add_grad(grads, "head.bias", dlogits.sum(axis=0))
         dpooled = dlogits @ t["head.W"].T
         dts = np.broadcast_to(dpooled[:, None, :], (len(logits), cfg.n_frames, cfg.dim))
-        part_grads.update(encode_backward(dts / cfg.n_frames, features[part], t, cache))
-        for name, grad in part_grads.items():
-            if name in grads:
-                grads[name] += grad
-            else:
-                grads[name] = grad
+        encode_backward(dts / cfg.n_frames, features[part], t, cache, grads)
         del cache
     return float(-np.concatenate(rows).mean()), grads
 

@@ -58,11 +58,42 @@ class TestTensorTable:
             + struct.pack("<H", 2) + b"bc" + struct.pack("<BBI", 1, 1, 1) + struct.pack("<I", 7)
         )
 
-    def test_rank_above_the_reader_bound_is_not_written(self, tmp_path):
+    def test_rank_above_the_reader_bound_is_not_written(self, tmp_path, monkeypatch):
+        """Every tensor is checked before the temp file is opened, so a bad
+        tensor after a good one leaves no temp file and the old file as it was."""
         path = tmp_path / "t.bin"
-        with pytest.raises(ValueError, match="rank 9 too large"):
-            write_tensor_table(path, b"KWM1", {"x": np.zeros((1,) * 9, dtype=np.float32)})
-        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(b"old contents")
+        opened = []
+        monkeypatch.setattr("audiomlp.formats.open", lambda *a, **k: opened.append(a), raising=False)
+        tensors = {"ok": np.ones(3, dtype=np.float32), "x": np.zeros((1,) * 9, dtype=np.float32)}
+        with pytest.raises(ValueError, match="rank 9 too large for tensor 'x'"):
+            write_tensor_table(path, b"KWM1", tensors)
+        assert opened == []
+        assert path.read_bytes() == b"old contents"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("save", ["weights", "optimizer state"])
+    def test_writer_streams_from_the_arrays(self, tmp_path, save):
+        """A depth-12 KWM1 or OPT1 write allocates at most 0.1x the file it writes.
+
+        Joining the file in memory first cost 2.04x and 2.01x (a bytearray,
+        then its bytes copy); writing each header and then the array itself
+        costs 0.022x for KWM1 and 0.014x for OPT1.
+        """
+        w = init_weights(EncoderConfig(depth=12), seed=0)
+        state = init_adamw_state(w.tensors)
+        path = tmp_path / "out.bin"
+        tracemalloc.start()
+        try:
+            if save == "weights":
+                save_weights(path, w)
+            else:
+                save_optimizer_state(path, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak <= 0.1 * size, f"peak {peak / size:.2f}x of the {size}-byte file"
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "t.bin"
@@ -426,6 +457,11 @@ class TestAtomicWrites:
         _WRITERS[kind](path)
         assert path.read_bytes() == expected
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_parts_are_written_in_order(self, tmp_path):
+        path = tmp_path / "out.bin"
+        write_file_atomic(path, b"ab", np.arange(3, dtype="<u2").reshape(1, 3), bytearray(b"z"))
+        assert path.read_bytes() == b"ab\x00\x00\x01\x00\x02\x00z"
 
     def test_directory_target_is_left_alone(self, tmp_path):
         (tmp_path / "d").mkdir()

@@ -438,14 +438,11 @@ def encode_backward(
     is formed, and each block's cache entry is removed once it is done.
     """
     t = tensors
-
-    def norm_backward(dy, c, k, name):
-        dx, *dparams = layer_norm_backward(dy, c["xhat" + k], c["istd" + k], t[name + ".scale"])
-        for leaf, grad in zip((".scale", ".shift"), dparams):
-            add_grad(grads, name + leaf, grad)
-        return dx
-
-    dx = norm_backward(dts, cache, "_f", "final_norm")
+    dx, dscale, dshift = layer_norm_backward(
+        dts, cache["xhat_f"], cache["istd_f"], t["final_norm.scale"]
+    )
+    add_grad(grads, "final_norm.scale", dscale)
+    add_grad(grads, "final_norm.shift", dshift)
     for i in reversed(range(len(cache["blocks"]))):
         p = f"block.{i}."
         bc = cache["blocks"].pop()
@@ -458,12 +455,24 @@ def encode_backward(
         n2 = bc["xhat2"] * t[p + "gate_norm.scale"] + t[p + "gate_norm.shift"]
         add_grad(grads, p + "G", (dmixed @ np.swapaxes(n2, 1, 2)).sum(axis=0))
         add_grad(grads, p + "G.bias", dmixed.sum(axis=(0, 2)))
-        dgate = norm_backward(np.matmul(t[p + "G"].T, dmixed), bc, "2", p + "gate_norm")
-        dupre = np.concatenate([dvalue, dgate], axis=-1) * bc["dgelu"]
+        dn2 = np.matmul(t[p + "G"].T, dmixed)
+        dgate, dscale, dshift = layer_norm_backward(
+            dn2, bc["xhat2"], bc["istd2"], t[p + "gate_norm.scale"]
+        )
+        add_grad(grads, p + "gate_norm.scale", dscale)
+        add_grad(grads, p + "gate_norm.shift", dshift)
+        dhidden = np.concatenate([dvalue, dgate], axis=-1)
+        dupre = dhidden * bc["dgelu"]
         n1 = bc["xhat1"] * t[p + "pre_norm.scale"] + t[p + "pre_norm.shift"]
         add_grad(grads, p + "U", _flat(n1).T @ _flat(dupre))
         add_grad(grads, p + "U.bias", dupre.sum(axis=(0, 1)))
-        dx = dx + norm_backward(dupre @ t[p + "U"].T, bc, "1", p + "pre_norm")
+        dn1 = dupre @ t[p + "U"].T
+        dxpre, dscale, dshift = layer_norm_backward(
+            dn1, bc["xhat1"], bc["istd1"], t[p + "pre_norm.scale"]
+        )
+        add_grad(grads, p + "pre_norm.scale", dscale)
+        add_grad(grads, p + "pre_norm.shift", dshift)
+        dx = dx + dxpre
     add_grad(grads, "P0", _flat(np.swapaxes(features, 1, 2)).T @ _flat(dx))
     add_grad(grads, "P0.bias", dx.sum(axis=(0, 1)))
 

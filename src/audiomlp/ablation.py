@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .dsp import AudioBuffer, mfcc
-from .encoder import _MICRO_BATCH, EncoderConfig, extract_timestamps, init_weights
+from .encoder import EncoderConfig, extract_timestamps, init_weights
 from .formats import why_unwritable, write_file_atomic
 from .probe import ProbeConfig, evaluate_probe, train_probe
 from .scene import ALGORITHMS, scene_embedding
@@ -49,12 +49,7 @@ def run_grid(seed: int = 0, clips_per_class: int = 15, probe_epochs: int = 200) 
     weights = init_weights(EncoderConfig(), seed=seed)
     results = []
     for depth in DEPTHS:
-        timestamps = np.concatenate(
-            [
-                extract_timestamps(features[lo : lo + _MICRO_BATCH], weights, depth)
-                for lo in range(0, len(features), _MICRO_BATCH)
-            ]
-        )
+        timestamps = extract_timestamps(features, weights, depth)
         for algorithm in ALGORITHMS:
             embeddings = np.stack([scene_embedding(ts, algorithm) for ts in timestamps])
             probe = train_probe(
@@ -82,6 +77,12 @@ def main(argv=None) -> int:
     parser.add_argument("--probe-epochs", type=int, default=200)
     parser.add_argument("--output", default=None, help="also write the JSON here")
     args = parser.parse_args(argv)
+    if args.seed < 0 or args.clips_per_class < 1 or args.probe_epochs < 1:
+        print(
+            "error: need --seed >= 0, --clips-per-class >= 1 and --probe-epochs >= 1",
+            file=sys.stderr,
+        )
+        return 1
     # find an unwritable output now, not after the whole grid
     problem = args.output and why_unwritable(args.output)
     if problem:

@@ -10,7 +10,8 @@ model, a train depth above 1,024, train mask widths wider than the
 feature grid, more train time masks than frames (98) or frequency masks
 than coefficients (40), an interp-demo size above 4,096, an unwritable
 --output or interp-demo --output-dir, a train --output ending in .opt1
-or .csv) and diverged training runs; 2 weight files that are
+or .csv, a train output, .opt1 or .csv path that is the manifest, a
+negative train --seed) and diverged training runs; 2 weight files that are
 unreadable, malformed, non-finite or inconsistent with their meta (a
 meta depth above 1,024 among them), and for embed weights of another
 feature geometry than the front end's or finite weights whose
@@ -48,11 +49,11 @@ from .dsp import (
     resample,
 )
 from .encoder import (
-    _MICRO_BATCH,
     EncoderConfig,
     EncoderWeights,
     extract_timestamps,
     init_weights,
+    micro_batches,
     toeplitz_score,
 )
 from .formats import (
@@ -127,14 +128,14 @@ def encode_audio(
 ) -> np.ndarray:
     """Decode, resample to 16 kHz, segment, and embed each 1 s segment.
 
-    The encoder runs on stacks of up to _MICRO_BATCH segments' MFCCs, with
-    the same bits per segment as one call each.
+    MFCCs are computed and encoded one slice of encoder.micro_batches at a
+    time, with the same bits per segment as one call each.
     Returns (n_segments, scene_dim) float32, one row per segment in order.
     """
     segments = pad_and_segment(_decode_at_model_rate(wav_bytes))
     rows = []
-    for lo in range(0, len(segments), _MICRO_BATCH):
-        features = np.stack([mfcc(segment) for segment in segments[lo : lo + _MICRO_BATCH]])
+    for part in micro_batches(len(segments)):
+        features = np.stack([mfcc(segment) for segment in segments[part]])
         for timestamps in extract_timestamps(features, weights, depth):
             rows.append(scene_embedding(timestamps, algorithm))
     return np.stack(rows)
@@ -220,6 +221,12 @@ def cmd_train(args) -> int:
         )
     # find an unwritable output path now, not after the whole run
     for path in (output, output.with_suffix(".opt1"), output.with_suffix(".csv")):
+        try:
+            is_manifest = path.samefile(args.manifest)
+        except OSError:  # no file there yet
+            is_manifest = False
+        if is_manifest:
+            return _fail(EXIT_USAGE, f"cannot write {path}: it is the manifest")
         problem = why_unwritable(path)
         if problem is not None:
             return _fail(EXIT_USAGE, f"cannot write {path}: {problem}")

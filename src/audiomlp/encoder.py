@@ -49,11 +49,11 @@ from .dsp import N_FRAMES, N_MFCC
 
 LN_EPS = 1e-5
 
-# Examples per encode call in every batched forward: trainer.loss_and_grads
-# and trainer.predict, cli's embed and the ablation grid. One BLAS thread,
-# 2-CPU host: in the depth-12, batch-64 training benchmark 2, 4 and 8 ran at
-# 39.9, 40.7 and 40.3 audio-s/s, equal within noise, and peaked at 65, 74
-# and 88 MB RSS; a 10 s embed took 82.0, 74.8, 69.9, 71.0 and 70.4 ms
+# Examples per pass through the blocks: encode runs a larger uncached batch in
+# micro_batches, and loss_and_grads and cli's embed loop over them. One BLAS
+# thread, 2-CPU host: in the depth-12, batch-64 training benchmark 2, 4 and 8
+# ran at 39.9, 40.7 and 40.3 audio-s/s, equal within noise, and peaked at 65,
+# 74 and 88 MB RSS; a 10 s embed took 82.0, 74.8, 69.9, 71.0 and 70.4 ms
 # (medians) at 1, 2, 4, 8 and 16. 4 is on both plateaus.
 _MICRO_BATCH = 4
 
@@ -387,6 +387,11 @@ def block_forward(
     return branch
 
 
+def micro_batches(n: int) -> list[slice]:
+    """Slices of at most _MICRO_BATCH examples covering range(n), in order."""
+    return [slice(lo, lo + _MICRO_BATCH) for lo in range(0, n, _MICRO_BATCH)]
+
+
 def encode(
     features: np.ndarray,
     tensors: dict[str, np.ndarray],
@@ -399,8 +404,15 @@ def encode(
 
     Runs the patch embedding, the first depth blocks and the final norm.
     scales[i] is block i's per-example branch factor. With a cache dict,
-    it collects what encode_backward reads.
+    it collects what encode_backward reads. Without one, a larger batch
+    runs one slice of micro_batches at a time, with the bits of one pass.
     """
+    if cache is None and len(features) > _MICRO_BATCH:
+        outputs = []
+        for part in micro_batches(len(features)):
+            part_scales = None if scales is None else [s[part] for s in scales]
+            outputs.append(encode(features[part], tensors, depth, scales=part_scales))
+        return np.concatenate(outputs)
     if cache is not None:
         cache["blocks"] = [{} for _ in range(depth)]
     x = patch_embed(features, tensors)
@@ -490,10 +502,10 @@ def extract_timestamps(
     """Timestamp embeddings: one dim-sized vector per MFCC frame.
 
     features is one (n_mfcc, n_frames) grid, giving (n_frames, dim), or a
-    (B, n_mfcc, n_frames) stack, giving (B, n_frames, dim) with the same
-    bits per grid as one call each. depth selects how many blocks to run
-    (default: all of them); the final norm is applied whatever the depth,
-    so embeddings from different depths live on the same scale.
+    (B, n_mfcc, n_frames) stack of any size, run in micro-batches, giving
+    (B, n_frames, dim) with the bits of one call per grid. depth selects
+    how many blocks to run (default: all); the final norm is applied at
+    any depth, so embeddings from different depths share one scale.
     """
     config = weights.config
     batched = features.ndim == 3

@@ -9,16 +9,16 @@ needs no rescaling. Gradients live in a plain dict keyed by the same
 tensor names the weights use, and AdamW's state is a flat table of the
 same names with "m."/"v." prefixes, the table an OPT1 file holds.
 
-A step runs in micro-batches of _MICRO_BATCH examples. loss_and_grads
-draws every block's stochastic-depth decisions for the whole batch first,
-then runs forward, loss and backward on one slice at a time, adding each
-weight gradient into the step's totals as soon as it is formed. Examples
+A step runs in encoder.micro_batches. loss_and_grads draws every block's
+stochastic-depth decisions for the whole batch first, then runs forward,
+loss and backward on one slice at a time, adding each weight gradient
+into the step's totals as soon as it is formed. Examples
 never interact (layer norm works per frame, pooling per example), so the
 loss and the random stream are those of one pass over the whole batch,
 and only the float summation order of the gradients differs. Only one
 slice's cache is alive at a time, so a step's memory does not grow with
 the batch size, and a slice's activations stay in the CPU cache. predict
-runs in the same micro-batches.
+is one uncached encode call, which cuts the same micro-batches itself.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import (
-    _MICRO_BATCH,
     EncoderConfig,
     EncoderWeights,
     add_grad,
     check_features,
     encode,
     encode_backward,
+    micro_batches,
 )
 
 ADAM_BETA1 = 0.9
@@ -81,6 +81,8 @@ class TrainConfig:
             raise ValueError("label_smoothing must lie in [0, 1)")
         if not 0.0 < self.survival <= 1.0:
             raise ValueError("survival must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for name in ("time_masks", "time_mask_width", "freq_masks", "freq_mask_width"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -230,8 +232,8 @@ def loss_and_grads(
 
     The stochastic-depth factors are drawn for the whole batch first
     (_branch_scales). Forward, loss rows and backward (the head's
-    gradients here, the encoder's from encode_backward) then run on
-    _MICRO_BATCH examples at a time; each slice's cache is dropped before
+    gradients here, the encoder's from encode_backward) then run on one
+    slice of micro_batches at a time; each slice's cache is dropped before
     the next forward. Every gradient is added into the step's totals as
     it is formed, so a slice never holds a full set of its own.
     dlogits is divided by the whole batch's size.
@@ -246,8 +248,7 @@ def loss_and_grads(
     scales = _branch_scales(features, weights, survival, rng)
     rows = []
     grads: dict[str, np.ndarray] = {}
-    for lo in range(0, n, _MICRO_BATCH):
-        part = slice(lo, lo + _MICRO_BATCH)
+    for part in micro_batches(n):
         logits, cache = forward_batch(
             features[part], weights, scales=None if scales is None else [s[part] for s in scales]
         )
@@ -383,20 +384,16 @@ def train(
 
 
 def predict(features: np.ndarray, weights: EncoderWeights) -> np.ndarray:
-    """Argmax class per example, in micro-batches (no stochastic depth).
+    """Argmax class per example (no stochastic depth).
 
     The logits are forward_batch's, but encode runs without a cache, so no
-    backward intermediates are kept.
+    backward intermediates are kept and it runs in micro-batches.
     """
     cfg = weights.config
     t = weights.tensors
     check_features(features, cfg, batched=True)
-    out = []
-    for lo in range(0, len(features), _MICRO_BATCH):
-        batch = features[lo : lo + _MICRO_BATCH]
-        logits = encode(batch, t, cfg.depth).mean(axis=1) @ t["head.W"] + t["head.bias"]
-        out.append(np.argmax(logits, axis=1))
-    return np.concatenate(out)
+    logits = encode(features, t, cfg.depth).mean(axis=1) @ t["head.W"] + t["head.bias"]
+    return np.argmax(logits, axis=1)
 
 
 def evaluate(features: np.ndarray, labels: np.ndarray, weights: EncoderWeights) -> float:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from audiomlp.ablation import main, run_grid
 
 
@@ -45,6 +47,21 @@ def test_unwritable_output_exits_1_before_the_grid(tmp_path, capsys, monkeypatch
     assert main(["--output", str(out)]) == 1
     assert f"error: cannot write {out}" in capsys.readouterr().err
     assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", "-1"], ["--clips-per-class", "0"], ["--clips-per-class", "-2"],
+     ["--probe-epochs", "0"]],
+)
+def test_out_of_range_flag_exits_1_before_the_grid(flags, capsys, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the grid ran with an out-of-range flag")
+
+    monkeypatch.setattr("audiomlp.ablation.run_grid", no_grid)
+    assert main(flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_failed_write_exits_1_and_leaves_no_temp_file(tmp_path, capsys, disk_full):

@@ -476,6 +476,39 @@ class TestTrain:
         assert f"cannot write {out}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "manifest_name, output_name",
+        [("data.csv", "data.kwm1"), ("data.opt1", "data.kwm1"), ("data.tsv", "data.tsv")],
+    )
+    def test_output_path_that_is_the_manifest_exits_1(
+        self, tmp_path, capsys, monkeypatch, manifest_name, output_name
+    ):
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("a WAV was decoded although an output is the manifest")
+
+        monkeypatch.setattr("audiomlp.cli._decode_at_model_rate", no_decoding)
+        manifest = write_tiny_dataset(tmp_path).rename(tmp_path / manifest_name)
+        before = manifest.read_bytes()
+        out = tmp_path / output_name
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)] + TRAIN_FLAGS)
+        assert code == 1
+        assert f"error: cannot write {manifest}: it is the manifest" in capsys.readouterr().err
+        assert manifest.read_bytes() == before
+        assert [p.name for p in tmp_path.glob("data.*")] == [manifest_name]
+
+    def test_negative_seed_exits_1_before_anything_is_written(self, tmp_path, capsys, monkeypatch):
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("a WAV was decoded although the seed is refused")
+
+        monkeypatch.setattr("audiomlp.cli._decode_at_model_rate", no_decoding)
+        manifest = write_tiny_dataset(tmp_path)
+        out = tmp_path / "m.kwm1"
+        flags = TRAIN_FLAGS + ["--seed", "-1"]
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)] + flags)
+        assert code == 1
+        assert "error: seed must be non-negative" in capsys.readouterr().err
+        assert [p for p in tmp_path.iterdir() if p.suffix in (".kwm1", ".opt1", ".csv")] == []
+
     def _assert_exits_1_before_training(self, tmp_path, capsys, monkeypatch, directory):
         manifest = write_tiny_dataset(tmp_path)
 

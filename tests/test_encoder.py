@@ -318,20 +318,22 @@ class TestInPlaceForwardBits:
         return EncoderWeights(config, tensors)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("batch", [1, 4, 5, 9])
     def test_encode_matches_expression_form(self, dtype, batch):
+        # 5 and 9 run in micro-batches and are joined; the oracle runs them whole
         w = self._weights(dtype)
         features = np.random.default_rng(22).standard_normal((batch, 40, 98)).astype(dtype)
         got = encode(features, w.tensors, 3)
         want = _expression_encode(features, w.tensors, 3)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("batch", [4, 9])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_encode_with_branch_factors_matches_expression_form(self, dtype):
+    def test_encode_with_branch_factors_matches_expression_form(self, dtype, batch):
         w = self._weights(dtype)
         rng = np.random.default_rng(23)
-        features = rng.standard_normal((4, 40, 98)).astype(dtype)
-        scales = [((rng.random(4) < 0.7) / 0.7).astype(dtype) for _ in range(3)]
+        features = rng.standard_normal((batch, 40, 98)).astype(dtype)
+        scales = [((rng.random(batch) < 0.7) / 0.7).astype(dtype) for _ in range(3)]
         got = encode(features, w.tensors, 3, scales=scales)
         want = _expression_encode(features, w.tensors, 3, scales)
         assert got.tobytes() == want.tobytes()
@@ -414,6 +416,27 @@ class TestExtract:
         assert stacked.shape == (5, 98, 64)
         expected = np.stack([extract_timestamps(f, w, depth) for f in feats])
         assert stacked.tobytes() == expected.tobytes()
+
+    def test_stack_memory_is_bounded(self):
+        """A stack of 64 grids peaks at most 2x its output above a stack of 4.
+
+        The stack runs 4 grids at a time, and only the outputs, the slices'
+        and the joined one, grow with it: 3.1 MiB at B=64 against 1.5 MiB
+        at B=4. One pass over all 64 grids would peak at 23.0 MiB.
+        """
+        w = init_weights(EncoderConfig(), seed=0)
+        feats = np.random.default_rng(13).standard_normal((64, 40, 98)).astype(np.float32)
+        peaks = []
+        for batch in (4, 64):
+            tracemalloc.start()
+            try:
+                out = extract_timestamps(feats[:batch], w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 * out.nbytes, (
+            f"B=64 {peaks[1] / 2**20:.1f} MiB, B=4 {peaks[0] / 2**20:.1f} MiB"
+        )
 
     def test_stack_of_another_grid_shape_rejected(self):
         w = init_weights(EncoderConfig())

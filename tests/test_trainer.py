@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from audiomlp.encoder import (
+    _MICRO_BATCH,
     LN_EPS,
     EncoderConfig,
     block_forward,
@@ -17,7 +18,6 @@ from audiomlp.encoder import (
     layer_norm_backward,
 )
 from audiomlp.trainer import (
-    _MICRO_BATCH,
     StepRecord,
     TrainConfig,
     TrainingDivergedError,

@@ -49,13 +49,20 @@ from .dsp import N_FRAMES, N_MFCC
 
 LN_EPS = 1e-5
 
-# Examples per pass through the blocks: encode runs a larger uncached batch in
-# micro_batches, and loss_and_grads and cli's embed loop over them. One BLAS
-# thread, 2-CPU host: in the depth-12, batch-64 training benchmark 2, 4 and 8
-# ran at 39.9, 40.7 and 40.3 audio-s/s, equal within noise, and peaked at 65,
-# 74 and 88 MB RSS; a 10 s embed took 82.0, 74.8, 69.9, 71.0 and 70.4 ms
-# (medians) at 1, 2, 4, 8 and 16. 4 is on both plateaus.
+# Examples per pass through the blocks of an uncached encode: encode runs a
+# larger batch in micro_batches, and cli's embed loops over them. One BLAS
+# thread, 2-CPU host: a 10 s embed took 82.0, 74.8, 69.9, 71.0 and 70.4 ms
+# (medians) at 1, 2, 4, 8 and 16, and embeds of 3, 5, 6 and 10 segments
+# were 0.4-5.6% slower at 2 than at 4. 4 is on the plateau.
 _MICRO_BATCH = 4
+
+# Examples per pass when a cache is kept (loss_and_grads). The cache holds
+# depth blocks per example, 277 KB each at the default widths (3.3 MB per
+# example at depth 12), so it, not the step's fixed gradient totals, sets a
+# training step's peak. Same host: a depth-12, batch-64 step peaked at 17.1
+# MiB of tracemalloc at 4 and 8.8 MiB at 2, and took 965, 966 and 1092 ms
+# at 4, 2 and 1 (medians of 12 interleaved steps), so 2 and not 1.
+_CACHED_MICRO_BATCH = 2
 
 # Blocks at most. One block at the default widths is 34,982 float32 values
 # (140 KB), so 1,024 blocks hold 137 MiB of weights, and training keeps
@@ -387,9 +394,12 @@ def block_forward(
     return branch
 
 
-def micro_batches(n: int) -> list[slice]:
-    """Slices of at most _MICRO_BATCH examples covering range(n), in order."""
-    return [slice(lo, lo + _MICRO_BATCH) for lo in range(0, n, _MICRO_BATCH)]
+def micro_batches(n: int, cached: bool = False) -> list[slice]:
+    """Slices covering range(n) in order, of at most _CACHED_MICRO_BATCH
+    examples for a caller that keeps a cache, else _MICRO_BATCH.
+    """
+    size = _CACHED_MICRO_BATCH if cached else _MICRO_BATCH
+    return [slice(lo, lo + size) for lo in range(0, n, size)]
 
 
 def encode(
@@ -432,6 +442,16 @@ def _flat(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
+def all_finite(array: np.ndarray) -> bool:
+    """True unless array holds a NaN or an infinity.
+
+    A finite sum of squares has no NaN or Inf among its terms, so the
+    exact elementwise test runs only when that sum is not finite (a NaN or
+    Inf, or finite values whose squares overflow).
+    """
+    return math.isfinite(np.vdot(array, array)) or bool(np.isfinite(array).all())
+
+
 def add_grad(totals: dict[str, np.ndarray], name: str, grad: np.ndarray) -> None:
     """totals[name] += grad, or totals[name] = grad for a name not yet in totals."""
     if name in totals:
@@ -447,7 +467,10 @@ def encode_backward(
 
     dts is the gradient of encode's output, and features and cache are the
     input and the cache of that call. Each gradient is added as soon as it
-    is formed, and each block's cache entry is removed once it is done.
+    is formed, and each cached array and temporary is dropped after its
+    last use, so a block's backward holds little more than its own cache.
+    The value and gate halves' gradients are written into one array, which
+    the GELU derivative then scales in place.
     """
     t = tensors
     dx, dscale, dshift = layer_norm_backward(
@@ -458,33 +481,50 @@ def encode_backward(
     for i in reversed(range(len(cache["blocks"]))):
         p = f"block.{i}."
         bc = cache["blocks"].pop()
+        value, mixed = bc.pop("value"), bc.pop("mixed")
+        half = value.shape[-1]
         dbranch = dx if bc["scale"] is None else dx * bc["scale"][:, None, None]
-        add_grad(grads, p + "V", _flat(bc["value"] * bc["mixed"]).T @ _flat(dbranch))
+        add_grad(grads, p + "V", _flat(value * mixed).T @ _flat(dbranch))
         add_grad(grads, p + "V.bias", dbranch.sum(axis=(0, 1)))
         dgated = dbranch @ t[p + "V"].T
-        dvalue = dgated * bc["mixed"]
-        dmixed = dgated * bc["value"]
-        n2 = bc["xhat2"] * t[p + "gate_norm.scale"] + t[p + "gate_norm.shift"]
+        del dbranch
+        dgelu = bc.pop("dgelu")
+        dupre = np.empty(dgelu.shape, dgated.dtype)
+        np.multiply(dgated, mixed, out=dupre[..., :half])
+        del mixed
+        dmixed = np.multiply(dgated, value, out=dgated)
+        del value, dgated
+        xhat2 = bc.pop("xhat2")
+        n2 = xhat2 * t[p + "gate_norm.scale"] + t[p + "gate_norm.shift"]
         add_grad(grads, p + "G", (dmixed @ np.swapaxes(n2, 1, 2)).sum(axis=0))
+        del n2
         add_grad(grads, p + "G.bias", dmixed.sum(axis=(0, 2)))
         dn2 = np.matmul(t[p + "G"].T, dmixed)
+        del dmixed
         dgate, dscale, dshift = layer_norm_backward(
-            dn2, bc["xhat2"], bc["istd2"], t[p + "gate_norm.scale"]
+            dn2, xhat2, bc["istd2"], t[p + "gate_norm.scale"]
         )
+        del dn2, xhat2
         add_grad(grads, p + "gate_norm.scale", dscale)
         add_grad(grads, p + "gate_norm.shift", dshift)
-        dhidden = np.concatenate([dvalue, dgate], axis=-1)
-        dupre = dhidden * bc["dgelu"]
-        n1 = bc["xhat1"] * t[p + "pre_norm.scale"] + t[p + "pre_norm.shift"]
+        dupre[..., half:] = dgate
+        del dgate
+        dupre *= dgelu
+        del dgelu
+        xhat1 = bc.pop("xhat1")
+        n1 = xhat1 * t[p + "pre_norm.scale"] + t[p + "pre_norm.shift"]
         add_grad(grads, p + "U", _flat(n1).T @ _flat(dupre))
+        del n1
         add_grad(grads, p + "U.bias", dupre.sum(axis=(0, 1)))
         dn1 = dupre @ t[p + "U"].T
+        del dupre
         dxpre, dscale, dshift = layer_norm_backward(
-            dn1, bc["xhat1"], bc["istd1"], t[p + "pre_norm.scale"]
+            dn1, xhat1, bc["istd1"], t[p + "pre_norm.scale"]
         )
+        del dn1, xhat1
         add_grad(grads, p + "pre_norm.scale", dscale)
         add_grad(grads, p + "pre_norm.shift", dshift)
-        dx = dx + dxpre
+        dx = np.add(dx, dxpre, out=dxpre)
     add_grad(grads, "P0", _flat(np.swapaxes(features, 1, 2)).T @ _flat(dx))
     add_grad(grads, "P0.bias", dx.sum(axis=(0, 1)))
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import EncoderConfig, EncoderWeights, tensor_shapes
+from .encoder import EncoderConfig, EncoderWeights, all_finite, tensor_shapes
 from .trainer import init_adamw_state
 
 WEIGHTS_MAGIC = b"KWM1"
@@ -181,9 +181,7 @@ def load_weights(path) -> EncoderWeights:
     for name, tensor in tensors.items():
         if tensor.dtype != _FLOAT32:
             raise FormatError(f"tensor {name!r} is not float32")
-        # a finite sum of squares has no NaN or Inf among its terms; only
-        # when it overflows does the exact elementwise test run
-        if not math.isfinite(np.vdot(tensor, tensor)) and not np.isfinite(tensor).all():
+        if not all_finite(tensor):
             raise FormatError(f"tensor {name!r} holds NaN or infinite values")
     try:
         config = EncoderConfig(*(int(v) for v in meta))

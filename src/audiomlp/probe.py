@@ -37,6 +37,8 @@ class ProbeConfig:
             raise ValueError("epochs must be positive")
         if not 0 < self.lr < math.inf:
             raise ValueError("lr must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

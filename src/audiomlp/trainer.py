@@ -9,16 +9,17 @@ needs no rescaling. Gradients live in a plain dict keyed by the same
 tensor names the weights use, and AdamW's state is a flat table of the
 same names with "m."/"v." prefixes, the table an OPT1 file holds.
 
-A step runs in encoder.micro_batches. loss_and_grads draws every block's
-stochastic-depth decisions for the whole batch first, then runs forward,
-loss and backward on one slice at a time, adding each weight gradient
-into the step's totals as soon as it is formed. Examples
-never interact (layer norm works per frame, pooling per example), so the
-loss and the random stream are those of one pass over the whole batch,
-and only the float summation order of the gradients differs. Only one
-slice's cache is alive at a time, so a step's memory does not grow with
-the batch size, and a slice's activations stay in the CPU cache. predict
-is one uncached encode call, which cuts the same micro-batches itself.
+A step runs in encoder.micro_batches of the cached size, 2 examples.
+loss_and_grads draws every block's stochastic-depth decisions for the
+whole batch first, then runs forward, loss and backward on one slice at a
+time, adding each weight gradient into the step's totals as soon as it is
+formed. Examples never interact (layer norm works per frame, pooling per
+example), so the loss and the random stream are those of one pass over
+the whole batch, and only the float summation order of the gradients
+differs. Only one slice's cache is alive at a time, so a step's memory
+does not grow with the batch size: the cache of 2 examples and the
+gradient totals set it. predict is one uncached encode call, which cuts
+the uncached micro-batches of 4 itself.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .encoder import (
     EncoderConfig,
     EncoderWeights,
     add_grad,
+    all_finite,
     check_features,
     encode,
     encode_backward,
@@ -44,10 +46,12 @@ ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(ValueError):
-    """The loss became NaN or infinite; `step` is the step that produced it."""
+    """The loss or a weight became NaN or infinite; `step` is the step that
+    produced it, and `reason` says which.
+    """
 
-    def __init__(self, step: int, loss: float):
-        super().__init__(f"training diverged at step {step} (loss {loss})")
+    def __init__(self, step: int, reason: str):
+        super().__init__(f"training diverged at step {step} ({reason})")
         self.step = step
 
 
@@ -248,7 +252,7 @@ def loss_and_grads(
     scales = _branch_scales(features, weights, survival, rng)
     rows = []
     grads: dict[str, np.ndarray] = {}
-    for part in micro_batches(n):
+    for part in micro_batches(n, cached=True):
         logits, cache = forward_batch(
             features[part], weights, scales=None if scales is None else [s[part] for s in scales]
         )
@@ -337,8 +341,9 @@ def train(
     step: the epoch shuffle, then per-example masking draws, then one
     stochastic-depth draw per block. Same seed, same data: bitwise
     identical weights out. A non-finite loss raises TrainingDivergedError
-    before that step's update; the weights then hold the previous step's
-    values and should be discarded.
+    before that step's update, and an update that leaves a weight NaN or
+    infinite raises it after the update, before on_step; either way the
+    weights should be discarded.
     """
     cfg = weights.config
     features = np.asarray(features)
@@ -372,8 +377,14 @@ def train(
                 rng=rng,
             )
             if not math.isfinite(loss):
-                raise TrainingDivergedError(step, loss)
+                raise TrainingDivergedError(step, f"loss {loss}")
             adamw_update(weights.tensors, grads, state, lr, config.weight_decay)
+            # the weights only: AdamW's float32 second moment can overflow to
+            # inf on a large gradient, which stalls that tensor but leaves it
+            # finite
+            for name, tensor in weights.tensors.items():
+                if not all_finite(tensor):
+                    raise TrainingDivergedError(step, f"the update left {name} non-finite")
             batch_losses.append(loss)
             if on_step is not None:
                 on_step(StepRecord(step=step, epoch=epoch, lr=lr, loss=loss))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,19 @@ import pytest
 # tests that start `python -m audiomlp...` in a child process need it too.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+def traced_peak_mib(fn, *args, **kwargs):
+    """(peak, result): the tracemalloc peak of fn(*args, **kwargs) in MiB,
+    counted from the call's start, and what the call returned.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20, result
 
 
 def make_wav(

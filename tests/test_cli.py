@@ -571,6 +571,22 @@ class TestTrain:
         assert not out.exists()
         assert not out.with_suffix(".opt1").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_update_that_leaves_weights_non_finite_exits_1_and_writes_no_weights(
+        self, tmp_path, capsys
+    ):
+        # the one step's loss is finite; its update turns every weight NaN or Inf
+        manifest = write_tiny_dataset(tmp_path, n_per_class=2)
+        out = tmp_path / "m.kwm1"
+        flags = ["--depth", "1", "--epochs", "1", "--warmup-epochs", "0", "--peak-lr", "1e300"]
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)] + flags)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "training diverged at step 0 (the update left" in captured.err
+        assert not out.exists()
+        assert not out.with_suffix(".opt1").exists()
+
     def test_bad_hyperparameters_exit_1(self, tmp_path):
         manifest = write_tiny_dataset(tmp_path)
         code = main(
@@ -710,6 +726,14 @@ class TestProbe:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: probe optimizer state overflowed\n"
+
+    def test_negative_seed_exits_5_naming_the_seed(self, tmp_path, capsys):
+        emb_path, labels_path = self._write_probe_inputs(tmp_path)
+        argv = ["probe", "--embeddings", str(emb_path), "--labels", str(labels_path)]
+        assert main(argv + ["--seed", "-1"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative\n"
 
     def test_non_integer_labels_exit_5(self, tmp_path):
         emb_path, labels_path = self._write_probe_inputs(tmp_path)

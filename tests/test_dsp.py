@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from audiomlp.dsp import (
     pad_and_segment,
     resample,
 )
-from conftest import make_wav, sine_clip
+from conftest import make_wav, sine_clip, traced_peak_mib
 
 
 class TestDecodeWav:
@@ -177,14 +176,11 @@ class TestDecodeWav:
         # samples are read in place, so 10 s of 44.1 kHz stereo PCM16 peaks at
         # its float64 output plus ufunc buffers (1.52x when the data chunk was copied)
         wav = make_wav(np.random.default_rng(2).uniform(-1.0, 1.0, (441000, 2)), rate=44100)
-        tracemalloc.start()
-        try:
-            samples = decode_wav(wav).samples
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, buf = traced_peak_mib(decode_wav, wav)
+        samples = buf.samples
         assert len(samples) == 441000
-        assert peak <= 1.1 * samples.nbytes, f"peak {peak / samples.nbytes:.2f}x the output"
+        ratio = peak * 2**20 / samples.nbytes
+        assert ratio <= 1.1, f"peak {ratio:.2f}x the output"
 
     def test_zero_channels_rejected(self):
         wav = bytearray(make_wav([0.5]))
@@ -371,14 +367,9 @@ class TestResample:
         # stays below three times the input's bytes (50 MB; 99 MB when each
         # output's window was gathered in chunks).
         audio = AudioBuffer(np.random.default_rng(5).uniform(-1.0, 1.0, 60 * 44100), 44100)
-        tracemalloc.start()
-        try:
-            out = resample(audio, 16000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, out = traced_peak_mib(resample, audio, 16000)
         assert len(out.samples) == 60 * 16000
-        assert peak < 3 * audio.samples.nbytes, f"peak {peak / 1e6:.1f} MB"
+        assert peak * 2**20 < 3 * audio.samples.nbytes, f"peak {peak * 2**20 / 1e6:.1f} MB"
 
 
 class TestPadAndSegment:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +25,7 @@ from audiomlp.encoder import (
     tensor_shapes,
     toeplitz_score,
 )
+from conftest import traced_peak_mib
 
 TOY = EncoderConfig(n_mfcc=4, n_frames=6, dim=4, hidden_dim=8, depth=2, n_classes=3)
 
@@ -226,13 +226,8 @@ class TestGeluKernel:
         """
         u = np.random.default_rng(5).standard_normal((64, 98, 256)).astype(np.float32)
         for fn, limit in ((gelu, 1.05), (gelu_with_grad, 2.05)):
-            tracemalloc.start()
-            try:
-                fn(u)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= limit * u.nbytes, f"{fn.__name__}: {peak / u.nbytes:.2f}x input"
+            ratio = traced_peak_mib(fn, u)[0] * 2**20 / u.nbytes
+            assert ratio <= limit, f"{fn.__name__}: {ratio:.2f}x input"
 
     def test_fit_gives_the_same_python_floats_each_call(self):
         # numpy scalars would be strong float64 operands in the float32 kernel
@@ -426,16 +421,10 @@ class TestExtract:
         """
         w = init_weights(EncoderConfig(), seed=0)
         feats = np.random.default_rng(13).standard_normal((64, 40, 98)).astype(np.float32)
-        peaks = []
-        for batch in (4, 64):
-            tracemalloc.start()
-            try:
-                out = extract_timestamps(feats[:batch], w)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= peaks[0] + 2 * out.nbytes, (
-            f"B=64 {peaks[1] / 2**20:.1f} MiB, B=4 {peaks[0] / 2**20:.1f} MiB"
+        small = traced_peak_mib(extract_timestamps, feats[:4], w)[0]
+        large, out = traced_peak_mib(extract_timestamps, feats, w)
+        assert large <= small + 2 * out.nbytes / 2**20, (
+            f"B=64 {large:.1f} MiB, B=4 {small:.1f} MiB"
         )
 
     def test_stack_of_another_grid_shape_rejected(self):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from audiomlp.formats import (
     write_tensor_table,
 )
 from audiomlp.trainer import adamw_update, init_adamw_state
+from conftest import traced_peak_mib
 
 TOY = EncoderConfig(n_mfcc=4, n_frames=6, dim=4, hidden_dim=8, depth=2, n_classes=3)
 
@@ -82,17 +82,13 @@ class TestTensorTable:
         w = init_weights(EncoderConfig(depth=12), seed=0)
         state = init_adamw_state(w.tensors)
         path = tmp_path / "out.bin"
-        tracemalloc.start()
-        try:
-            if save == "weights":
-                save_weights(path, w)
-            else:
-                save_optimizer_state(path, state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        if save == "weights":
+            peak = traced_peak_mib(save_weights, path, w)[0]
+        else:
+            peak = traced_peak_mib(save_optimizer_state, path, state)[0]
         size = path.stat().st_size
-        assert peak <= 0.1 * size, f"peak {peak / size:.2f}x of the {size}-byte file"
+        ratio = peak * 2**20 / size
+        assert ratio <= 0.1, f"peak {ratio:.2f}x of the {size}-byte file"
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "t.bin"
@@ -186,14 +182,12 @@ class TestWeightsFile:
         table = read_tensor_table(path, WEIGHTS_MAGIC)
         table["meta"] = np.array([4, 6, 4, 8, 10_000, 3], dtype="<u4")
         write_tensor_table(path, WEIGHTS_MAGIC, table)
-        tracemalloc.start()
-        try:
+        def load_rejected():
             with pytest.raises(FormatError, match="26 tensors inconsistent with meta depth 10000"):
                 load_weights(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+        peak = traced_peak_mib(load_rejected)[0]
+        assert peak < 2, f"peak {peak:.1f} MiB"
 
     def test_non_f32_weight_tensor_rejected(self, tmp_path):
         w = init_weights(TOY, seed=0)
@@ -329,14 +323,10 @@ class TestEmbeddingsFile:
         # finiteness mask (3.0x when the payload was sliced off first)
         path = tmp_path / "e.emb1"
         save_embeddings(path, np.random.default_rng(6).standard_normal((2000, 1024)))
-        tracemalloc.start()
-        try:
-            matrix = load_embeddings(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, matrix = traced_peak_mib(load_embeddings, path)
         assert matrix.shape == (2000, 1024)
-        assert peak <= 2.5 * matrix.nbytes, f"peak {peak / matrix.nbytes:.2f}x the matrix"
+        ratio = peak * 2**20 / matrix.nbytes
+        assert ratio <= 2.5, f"peak {ratio:.2f}x the matrix"
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, value):

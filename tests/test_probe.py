@@ -49,6 +49,7 @@ class TestConfig:
             {"lr": float("nan")},
             {"lr": float("inf")},
             {"hidden_units": MAX_HIDDEN_UNITS + 1},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

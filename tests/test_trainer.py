@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from audiomlp.encoder import (
-    _MICRO_BATCH,
+    _CACHED_MICRO_BATCH,
     LN_EPS,
     EncoderConfig,
     block_forward,
@@ -33,6 +32,7 @@ from audiomlp.trainer import (
     smoothed_cross_entropy,
     train,
 )
+from conftest import traced_peak_mib
 
 TOY = EncoderConfig(n_mfcc=4, n_frames=6, dim=4, hidden_dim=8, depth=2, n_classes=3)
 
@@ -403,7 +403,7 @@ class TestGradients:
     @pytest.mark.parametrize("n", [1, 3, 7, 11])
     def test_ragged_micro_batches_match_einsum_oracle(self, n, dtype):
         # fewer examples than one micro-batch, or a last micro-batch cut short
-        assert n < _MICRO_BATCH or n % _MICRO_BATCH != 0
+        assert n < _CACHED_MICRO_BATCH or n % _CACHED_MICRO_BATCH != 0
         self._assert_matches_oracle(n, dtype)
 
     @staticmethod
@@ -474,38 +474,33 @@ def _step_peak_mib(n):
     w = init_weights(EncoderConfig(), seed=0)
     feats = rng.standard_normal((n, 40, 98)).astype(np.float32)
     labels = rng.integers(0, 35, n)
-    tracemalloc.start()
-    try:
-        loss_and_grads(
-            feats, labels, w, label_smoothing=0.1, survival=0.9, rng=np.random.default_rng(1)
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / 2**20
+    return traced_peak_mib(
+        loss_and_grads,
+        feats, labels, w, label_smoothing=0.1, survival=0.9, rng=np.random.default_rng(1),
+    )[0]
 
 
 def test_training_step_memory_is_bounded():
-    """A depth-12 B=16 step peaks under 18 MiB; it is at 17.1 MiB.
+    """A depth-12 B=16 step peaks under 10 MiB; it is at 8.8 MiB.
 
-    One micro-batch's block cache is alive at a time, the gated product is
-    recomputed in the backward pass rather than cached, and each gradient
-    is added into the step's totals as it is formed, so no second set of
-    gradients is held. One pass over all 16 examples would keep their
-    whole block cache (74.2 MiB).
+    One cached micro-batch's block cache (2 examples) is alive at a time,
+    the gated product is recomputed in the backward pass rather than
+    cached, the backward pass drops each cached array and temporary after
+    its last use, and each gradient is added into the step's totals as it
+    is formed, so no second set of gradients is held. Micro-batches of 4
+    peaked at 17.1 MiB, and one pass over all 16 examples at 56.5 MiB.
     """
     peak = _step_peak_mib(16)
-    assert peak < 18, f"peak {peak:.1f} MiB"
+    assert peak < 10, f"peak {peak:.1f} MiB"
 
 
 def test_block_cache_holds_only_what_the_backward_pass_reads():
     """Per block: both norms' xhat and istd, dgelu, value, mixed, scale.
 
     The gated product value * mixed is recomputed by the backward pass.
-    Caching it would move the B=16 peak from 17.1 to 19.4 MiB, which the
-    step's bound catches; a smaller tensor might not, so the contents are
-    checked here. Every array owns its data: a view would keep a larger
-    buffer alive.
+    Caching it would move the B=16 peak from 8.8 to 9.8 MiB, under the
+    step's 10 MiB bound, so the contents are checked here. Every array
+    owns its data: a view would keep a larger buffer alive.
     """
     w = init_weights(EncoderConfig(depth=2), seed=0)
     feats = np.random.default_rng(24).standard_normal((4, 40, 98)).astype(np.float32)
@@ -523,13 +518,19 @@ def test_block_cache_holds_only_what_the_backward_pass_reads():
 def test_training_step_memory_is_flat_in_the_batch_size():
     """Only one micro-batch's block cache is alive at a time.
 
-    A depth-12 step peaks at 15.6 MiB at B=4 and 17.1 MiB at B=64. The gap
-    is about one set of gradient totals (1.62 MiB), alive while each later
-    micro-batch runs, which a single micro-batch does not need. In one
-    pass over all 64 examples the step peaks at 292 MiB.
+    A depth-12 step peaks at 7.1 MiB on one cached micro-batch (2
+    examples) and 8.8 MiB at B=64. The gap is one set of gradient totals
+    (1.62 MiB), alive while each later micro-batch runs, which a single
+    micro-batch does not need, so it is bounded by 1.1 sets; a ratio bound
+    would tighten as a micro-batch's own working set shrinks. In one pass
+    over all 64 examples the step peaks at 226 MiB.
     """
-    small, large = _step_peak_mib(4), _step_peak_mib(64)
-    assert large <= 1.1 * small, f"B=64 peaks at {large:.1f} MiB, B=4 at {small:.1f} MiB"
+    small, large = _step_peak_mib(_CACHED_MICRO_BATCH), _step_peak_mib(64)
+    grad_set = init_weights(EncoderConfig()).parameter_count() * 4 / 2**20
+    assert large <= small + 1.1 * grad_set, (
+        f"B=64 peaks at {large:.2f} MiB, B={_CACHED_MICRO_BATCH} at {small:.2f} MiB, "
+        f"one gradient set is {grad_set:.2f} MiB"
+    )
 
 
 class TestAdamW:
@@ -724,6 +725,18 @@ class TestTrainLoop:
         assert isinstance(info.value, ValueError)
         assert records == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_update_stops_at_its_step(self):
+        feats, labels = separable_toy_data()
+        w = self._toy_setup()
+        records: list[StepRecord] = []
+        cfg = TrainConfig(epochs=2, batch_size=4, peak_lr=1e300, warmup_epochs=0, seed=3,
+                          time_masks=0, freq_masks=0)
+        with pytest.raises(TrainingDivergedError, match=r"at step 0 \(the update left P0 ") as info:
+            train(feats, labels, w, cfg, on_step=records.append)
+        assert info.value.step == 0
+        assert records == []
+
     def test_rejects_empty_dataset(self):
         w = self._toy_setup()
         with pytest.raises(ValueError):
@@ -753,13 +766,8 @@ class TestPredictEvaluate:
         # 5.1 MiB when each block's backward intermediates are kept.
         w = init_weights(EncoderConfig(depth=3), seed=0)
         feats = np.random.default_rng(3).standard_normal((16, 40, 98)).astype(np.float32)
-        tracemalloc.start()
-        try:
-            predict(feats, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        peak = traced_peak_mib(predict, feats, w)[0]
+        assert peak < 3, f"peak {peak:.1f} MiB"
 
     def test_evaluate_range(self):
         feats, labels = separable_toy_data()

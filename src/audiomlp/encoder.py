@@ -16,8 +16,17 @@ cache["blocks"][i] holds block i's two norms' normalized inputs and
 inverse deviations ("xhat1", "istd1", "xhat2", "istd2"), the GELU
 derivative "dgelu", a copy of the value half "value", the mixed gate
 "mixed" and the branch factors "scale"; the final norm's statistics are
-"xhat_f" and "istd_f". The backward pass recomputes the norm outputs from
-xhat and the gated product as value * mixed, with the same bits.
+"xhat_f" and "istd_f". A block runs only on the examples whose branch
+factor is nonzero, so a dropped branch is an exact identity: when some
+examples dropped block i, its entry holds the kept examples' arrays and
+their boolean mask "keep", and when every example dropped it, its entry
+is empty. The backward pass recomputes the gated product as value *
+mixed, with the same bits, and forms neither norm's output: each norm's
+affine is taken through the product next to it (G for the gate norm, U
+for the pre-norm), and column sums and row means are ones-vector GEMVs.
+encode_backward adds one micro-batch's share into the step's totals, and
+finish_grads takes the pre-norm's affine through the summed U totals
+once per step.
 
 GELU is exact, u * Phi(u) (Hendrycks & Gimpel, arXiv 1606.08415).
 float32, the dtype of embedding and training, computes Phi(u) = 1/2 +
@@ -28,8 +37,8 @@ checks) take Phi(u) = erfc(-u / sqrt 2) / 2 from the standard library's
 math.erfc, which is exact to about one ulp and needs no fitted table.
 The kernel runs over the flattened input in blocks of _GELU_CHUNK
 elements, in place in the output blocks and one reused scratch row, so
-its memory beyond the outputs does not grow with the batch. Layer norm
-and its backward pass take their row means as np.mean does (a pairwise
+its memory beyond the outputs does not grow with the batch. layer_norm
+and layer_norm_backward take their row means as np.mean does (a pairwise
 sum, then a division) but without np.mean's Python wrapper, and work in
 place, with the same bits.
 
@@ -319,25 +328,39 @@ def layer_norm(
     return xhat * scale + shift
 
 
+def _norm_input_grad(
+    dxhat: np.ndarray,
+    xhat: np.ndarray,
+    istd: np.ndarray,
+    mean_dxhat: np.ndarray,
+    mean_prod: np.ndarray,
+) -> np.ndarray:
+    """Gradient of layer norm's input from dxhat, the gradient of its xhat.
+
+    istd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) over the last
+    axis, given the two (..., 1) row means, formed in place in dxhat with
+    the bits of the expression.
+    """
+    dxhat -= mean_dxhat
+    dxhat -= xhat * mean_prod
+    dxhat *= istd
+    return dxhat
+
+
 def layer_norm_backward(
     dy: np.ndarray, xhat: np.ndarray, istd: np.ndarray, scale: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dx, dscale, dshift) of layer_norm, from dy and the cached xhat and istd.
 
-    dx = istd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
-    dxhat = dy * scale, formed in place in dxhat: the same bits as the
-    expression.
+    dx is _norm_input_grad of dxhat = dy * scale, with row means as
+    np.mean takes them.
     """
     reduce_axes = tuple(range(dy.ndim - 1))
     dscale = (dy * xhat).sum(axis=reduce_axes)
     dshift = dy.sum(axis=reduce_axes)
     dxhat = dy * scale
-    prod = dxhat * xhat
-    mean_prod = _row_mean(prod)
-    dxhat -= _row_mean(dxhat)
-    dxhat -= np.multiply(xhat, mean_prod, out=prod)
-    dxhat *= istd
-    return dxhat, dscale, dshift
+    mean_prod = _row_mean(dxhat * xhat)
+    return _norm_input_grad(dxhat, xhat, istd, _row_mean(dxhat), mean_prod), dscale, dshift
 
 
 def patch_embed(features: np.ndarray, tensors: dict[str, np.ndarray]) -> np.ndarray:
@@ -413,9 +436,12 @@ def encode(
     """(B, n_mfcc, frames) features to (B, frames, dim) final-normed timestamps.
 
     Runs the patch embedding, the first depth blocks and the final norm.
-    scales[i] is block i's per-example branch factor. With a cache dict,
-    it collects what encode_backward reads. Without one, a larger batch
-    runs one slice of micro_batches at a time, with the bits of one pass.
+    scales[i] is block i's per-example branch factor. Block i runs only on
+    the examples whose factor is nonzero, so a dropped branch is an exact
+    identity, and a block that every example dropped is skipped. With a
+    cache dict, it collects what encode_backward reads. Without one, a
+    larger batch runs one slice of micro_batches at a time, with the bits
+    of one pass.
     """
     if cache is None and len(features) > _MICRO_BATCH:
         outputs = []
@@ -427,13 +453,15 @@ def encode(
         cache["blocks"] = [{} for _ in range(depth)]
     x = patch_embed(features, tensors)
     for i in range(depth):
-        x = block_forward(
-            x,
-            tensors,
-            i,
-            scale=None if scales is None else scales[i],
-            cache=None if cache is None else cache["blocks"][i],
-        )
+        scale = None if scales is None else scales[i]
+        bc = None if cache is None else cache["blocks"][i]
+        keep = None if scale is None else scale != 0
+        if keep is None or keep.all():
+            x = block_forward(x, tensors, i, scale=scale, cache=bc)
+        elif keep.any():
+            x[keep] = block_forward(x[keep], tensors, i, scale=scale[keep], cache=bc)
+            if bc is not None:
+                bc["keep"] = keep
     return layer_norm(x, tensors["final_norm.scale"], tensors["final_norm.shift"], cache, "_f")
 
 
@@ -460,17 +488,97 @@ def add_grad(totals: dict[str, np.ndarray], name: str, grad: np.ndarray) -> None
         totals[name] = grad
 
 
+def _col_sum(x: np.ndarray) -> np.ndarray:
+    """x summed over every axis but the last, as a ones-vector GEMV."""
+    flat = _flat(x)
+    return np.ones(len(flat), flat.dtype) @ flat
+
+
+def _row_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x @ v over the last axis as one GEMV, kept as a (..., 1) column."""
+    return (_flat(x) @ v).reshape(*x.shape[:-1], 1)
+
+
+def _block_backward(
+    dy: np.ndarray, tensors: dict[str, np.ndarray], index: int, bc: dict, grads: dict
+) -> np.ndarray:
+    """Add block index's step totals into grads and return the gradient of
+    its input through the branch; the residual's share, dy itself, is the
+    caller's.
+
+    dy is the gradient of the block's output on the examples it ran on, and
+    bc is its cache entry. Neither norm's output is formed: each norm's
+    affine is taken through the product next to it. The gate norm's is
+    taken here; the pre-norm's is left to finish_grads (see there), so
+    the totals hold A = sum xhat1.T @ dupre under "U".
+    """
+    t, p = tensors, f"block.{index}."
+    value, mixed = bc.pop("value"), bc.pop("mixed")
+    dbranch = dy if bc["scale"] is None else dy * bc["scale"][:, None, None]
+    add_grad(grads, p + "V", _flat(value * mixed).T @ _flat(dbranch))
+    add_grad(grads, p + "V.bias", _col_sum(dbranch))
+    dgated = (_flat(dbranch) @ t[p + "V"].T).reshape(value.shape)
+    del dbranch
+    dvalue = dgated * mixed
+    del mixed
+    dmixed = np.multiply(dgated, value, out=dgated)
+    del value, dgated
+
+    # mixed = G @ (xhat2 * s2 + sh2) + G.bias, so
+    # dG = sum_b (dmixed_b * s2) @ xhat2_b.T + (sum_b dmixed_b @ sh2) 1.T
+    s2, sh2 = t[p + "gate_norm.scale"], t[p + "gate_norm.shift"]
+    xhat2 = bc.pop("xhat2")
+    frames = dmixed.shape[:2]
+    rows = _flat(dmixed)
+    add_grad(grads, p + "G.bias", (rows @ np.ones_like(sh2)).reshape(frames).sum(axis=0))
+    shift_term = (rows @ sh2).reshape(frames).sum(axis=0)
+    del rows
+    dn2 = np.matmul(t[p + "G"].T, dmixed)
+    dmixed *= s2
+    dg = (dmixed @ np.swapaxes(xhat2, 1, 2)).sum(axis=0)
+    del dmixed
+    dg += shift_term[:, None]
+    add_grad(grads, p + "G", dg)
+    prod = dn2 * xhat2
+    add_grad(grads, p + "gate_norm.scale", _col_sum(prod))
+    add_grad(grads, p + "gate_norm.shift", _col_sum(dn2))
+    # row means of dxhat2 = dn2 * s2 and of dxhat2 * xhat2, by GEMV
+    mean_weights = s2 / len(s2)
+    mean_prod = _row_dot(prod, mean_weights)
+    del prod
+    mean_dxhat = _row_dot(dn2, mean_weights)
+    dn2 *= s2
+    dgate = _norm_input_grad(dn2, xhat2, bc.pop("istd2"), mean_dxhat, mean_prod)
+    del dn2, xhat2
+    dupre = np.concatenate([dvalue, dgate], axis=-1)
+    del dvalue, dgate
+    dupre *= bc.pop("dgelu")
+
+    # upre = (xhat1 * s1 + sh1) @ U + U.bias
+    xhat1 = bc.pop("xhat1")
+    rows = _flat(dupre)
+    add_grad(grads, p + "U", _flat(xhat1).T @ rows)
+    add_grad(grads, p + "U.bias", _col_sum(dupre))
+    dxhat1 = (rows @ (t[p + "U"] * t[p + "pre_norm.scale"][:, None]).T).reshape(xhat1.shape)
+    del dupre, rows
+    mean_weights = np.full(xhat1.shape[-1], 1.0 / xhat1.shape[-1], dxhat1.dtype)
+    mean_prod = _row_dot(dxhat1 * xhat1, mean_weights)
+    mean_dxhat = _row_dot(dxhat1, mean_weights)
+    return _norm_input_grad(dxhat1, xhat1, bc.pop("istd1"), mean_dxhat, mean_prod)
+
+
 def encode_backward(
     dts: np.ndarray, features: np.ndarray, tensors: dict[str, np.ndarray], cache: dict, grads: dict
 ) -> None:
-    """Add the gradients of encode's tensors into the totals grads (add_grad).
+    """Add one micro-batch's share of the step's gradient totals into grads.
 
     dts is the gradient of encode's output, and features and cache are the
-    input and the cache of that call. Each gradient is added as soon as it
-    is formed, and each cached array and temporary is dropped after its
-    last use, so a block's backward holds little more than its own cache.
-    The value and gate halves' gradients are written into one array, which
-    the GELU derivative then scales in place.
+    input and the cache of that call. Each total is added as soon as it is
+    formed (add_grad), and each cached array and temporary is dropped after
+    its last use, so a block's backward holds little more than its own
+    cache. A block runs backward on the examples it ran forward on; a block
+    that every example dropped adds nothing. After the step's last call,
+    finish_grads turns the totals into gradients.
     """
     t = tensors
     dx, dscale, dshift = layer_norm_backward(
@@ -479,54 +587,42 @@ def encode_backward(
     add_grad(grads, "final_norm.scale", dscale)
     add_grad(grads, "final_norm.shift", dshift)
     for i in reversed(range(len(cache["blocks"]))):
-        p = f"block.{i}."
         bc = cache["blocks"].pop()
-        value, mixed = bc.pop("value"), bc.pop("mixed")
-        half = value.shape[-1]
-        dbranch = dx if bc["scale"] is None else dx * bc["scale"][:, None, None]
-        add_grad(grads, p + "V", _flat(value * mixed).T @ _flat(dbranch))
-        add_grad(grads, p + "V.bias", dbranch.sum(axis=(0, 1)))
-        dgated = dbranch @ t[p + "V"].T
-        del dbranch
-        dgelu = bc.pop("dgelu")
-        dupre = np.empty(dgelu.shape, dgated.dtype)
-        np.multiply(dgated, mixed, out=dupre[..., :half])
-        del mixed
-        dmixed = np.multiply(dgated, value, out=dgated)
-        del value, dgated
-        xhat2 = bc.pop("xhat2")
-        n2 = xhat2 * t[p + "gate_norm.scale"] + t[p + "gate_norm.shift"]
-        add_grad(grads, p + "G", (dmixed @ np.swapaxes(n2, 1, 2)).sum(axis=0))
-        del n2
-        add_grad(grads, p + "G.bias", dmixed.sum(axis=(0, 2)))
-        dn2 = np.matmul(t[p + "G"].T, dmixed)
-        del dmixed
-        dgate, dscale, dshift = layer_norm_backward(
-            dn2, xhat2, bc["istd2"], t[p + "gate_norm.scale"]
-        )
-        del dn2, xhat2
-        add_grad(grads, p + "gate_norm.scale", dscale)
-        add_grad(grads, p + "gate_norm.shift", dshift)
-        dupre[..., half:] = dgate
-        del dgate
-        dupre *= dgelu
-        del dgelu
-        xhat1 = bc.pop("xhat1")
-        n1 = xhat1 * t[p + "pre_norm.scale"] + t[p + "pre_norm.shift"]
-        add_grad(grads, p + "U", _flat(n1).T @ _flat(dupre))
-        del n1
-        add_grad(grads, p + "U.bias", dupre.sum(axis=(0, 1)))
-        dn1 = dupre @ t[p + "U"].T
-        del dupre
-        dxpre, dscale, dshift = layer_norm_backward(
-            dn1, xhat1, bc["istd1"], t[p + "pre_norm.scale"]
-        )
-        del dn1, xhat1
-        add_grad(grads, p + "pre_norm.scale", dscale)
-        add_grad(grads, p + "pre_norm.shift", dshift)
-        dx = np.add(dx, dxpre, out=dxpre)
+        if not bc:
+            continue
+        keep = bc.pop("keep", None)
+        if keep is None:
+            dxpre = _block_backward(dx, t, i, bc, grads)
+            dx = np.add(dx, dxpre, out=dxpre)
+        else:
+            dx[keep] += _block_backward(dx[keep], t, i, bc, grads)
     add_grad(grads, "P0", _flat(np.swapaxes(features, 1, 2)).T @ _flat(dx))
-    add_grad(grads, "P0.bias", dx.sum(axis=(0, 1)))
+    add_grad(grads, "P0.bias", _col_sum(dx))
+
+
+def finish_grads(grads: dict, tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The step's gradients, in tensors' order, from encode_backward's totals.
+
+    The pre-norm's affine is taken through U once per step, on the totals
+    A = sum xhat1.T @ dupre and cs = sum 1.T @ dupre (U.bias's gradient),
+    since upre = (xhat1 * s1 + sh1) @ U + U.bias gives dU = s1 A + sh1 cs.T,
+    ds1 = rowsum(U * A) and dsh1 = U cs; so it runs once, on the totals
+    of the step's last encode_backward call. (Per micro-batch of 2, the
+    (dim, hidden) products would cost more than the (B * T, dim) passes
+    they replace, since B * T = 196 rows is fewer than 256 columns.) A
+    tensor with no total (a block that every example of the step dropped)
+    gets a zero gradient.
+    """
+    for name in tensors:
+        if not (name.endswith(".U") and name in grads):
+            continue
+        p = name[:-1]
+        a, cs, u = grads[name], grads[p + "U.bias"], tensors[name]
+        grads[p + "pre_norm.scale"] = np.einsum("ch,ch->c", u, a)
+        grads[p + "pre_norm.shift"] = u @ cs
+        a *= tensors[p + "pre_norm.scale"][:, None]
+        a += np.multiply.outer(tensors[p + "pre_norm.shift"], cs)
+    return {k: grads[k] if k in grads else np.zeros_like(v) for k, v in tensors.items()}
 
 
 def check_features(features: np.ndarray, cfg: EncoderConfig, batched: bool = False) -> None:

@@ -5,15 +5,20 @@ encoder.encode_backward; this module holds the pooled classifier head,
 the loss, stochastic depth and the optimizer. During training stochastic
 depth drops each block's branch per example with probability
 1 - survival, and kept branches are scaled by 1 / survival so inference
-needs no rescaling. Gradients live in a plain dict keyed by the same
-tensor names the weights use, and AdamW's state is a flat table of the
-same names with "m."/"v." prefixes, the table an OPT1 file holds.
+needs no rescaling. A dropped branch is not computed at all (encode runs
+each block on its kept examples only), so it is an exact identity even
+where the branch would overflow, and a block that every example of a
+step dropped gets zero gradients. Gradients live in a plain dict keyed
+by the same tensor names the weights use, and AdamW's state is a flat
+table of the same names with "m."/"v." prefixes, the table an OPT1 file
+holds.
 
 A step runs in encoder.micro_batches of the cached size, 2 examples.
 loss_and_grads draws every block's stochastic-depth decisions for the
 whole batch first, then runs forward, loss and backward on one slice at a
 time, adding each weight gradient into the step's totals as soon as it is
-formed. Examples never interact (layer norm works per frame, pooling per
+formed; encoder.finish_grads turns the totals into the step's gradients.
+Examples never interact (layer norm works per frame, pooling per
 example), so the loss and the random stream are those of one pass over
 the whole batch, and only the float summation order of the gradients
 differs. Only one slice's cache is alive at a time, so a step's memory
@@ -37,6 +42,7 @@ from .encoder import (
     check_features,
     encode,
     encode_backward,
+    finish_grads,
     micro_batches,
 )
 
@@ -209,7 +215,8 @@ def forward_batch(
     features is (B, n_mfcc, n_frames). Returns (logits, cache): encode's
     cache plus the mean-pooled frames under "pooled". Given scales (from
     _branch_scales), block i's branch is multiplied by scales[i], its
-    stochastic-depth factor per example; without, every branch is kept.
+    stochastic-depth factor per example, and is not computed where that
+    factor is 0; without, every branch is kept.
     Nothing is drawn here: loss_and_grads draws once for the whole batch
     and passes each micro-batch its slice.
     """
@@ -239,8 +246,10 @@ def loss_and_grads(
     gradients here, the encoder's from encode_backward) then run on one
     slice of micro_batches at a time; each slice's cache is dropped before
     the next forward. Every gradient is added into the step's totals as
-    it is formed, so a slice never holds a full set of its own.
-    dlogits is divided by the whole batch's size.
+    it is formed, so a slice never holds a full set of its own, and
+    encoder.finish_grads turns the totals into gradients, zero for a
+    tensor that no slice reached. dlogits is divided by the whole batch's
+    size.
     """
     cfg, t = weights.config, weights.tensors
     check_features(features, cfg, batched=True)
@@ -265,7 +274,7 @@ def loss_and_grads(
         dts = np.broadcast_to(dpooled[:, None, :], (len(logits), cfg.n_frames, cfg.dim))
         encode_backward(dts / cfg.n_frames, features[part], t, cache, grads)
         del cache
-    return float(-np.concatenate(rows).mean()), grads
+    return float(-np.concatenate(rows).mean()), finish_grads(grads, t)
 
 
 def init_adamw_state(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

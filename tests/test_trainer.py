@@ -463,12 +463,83 @@ class TestGradients:
         _, grads = loss_and_grads(
             feats, labels, w, label_smoothing=0.0, survival=survival, rng=rng
         )
-        for name in ("block.0.V", "block.0.U", "block.0.G", "block.0.G.bias"):
-            np.testing.assert_array_equal(grads[name], 0.0)
+        assert grads.keys() == w.tensors.keys()
+        block = [name for name in w.tensors if name.startswith("block.0.")]
+        assert len(block) == 10
+        for name in block:
+            assert grads[name].shape == w.tensors[name].shape, name
+            np.testing.assert_array_equal(grads[name], 0.0, err_msg=name)
         assert np.any(grads["head.W"] != 0.0)  # the head still learns
 
+    def test_dropped_branch_that_overflows_is_an_identity(self):
+        # a dropped block is never run, so its infinite output cannot turn
+        # the loss NaN (as inf * 0 would)
+        w = init_weights(TOY, seed=8)
+        feats = np.random.default_rng(25).standard_normal((3, 4, 6)).astype(np.float32)
+        labels = np.array([0, 1, 2])
+        ref_loss, _ = loss_and_grads(
+            feats, labels, w, survival=1e-9, rng=np.random.default_rng(0)
+        )
+        w.tensors["block.1.U"] *= 3e38
+        with np.errstate(over="raise", invalid="raise"):
+            loss, grads = loss_and_grads(
+                feats, labels, w, survival=1e-9, rng=np.random.default_rng(0)
+            )
+        assert loss == ref_loss and math.isfinite(loss)
+        for name, grad in grads.items():
+            assert np.isfinite(grad).all(), name
 
-def _step_peak_mib(n):
+    def test_analytic_matches_finite_differences_with_dropped_branches(self):
+        # fixed draws: block 0 is dropped by example 1 only, block 1 by every
+        # example, block 2 by example 2, which is the whole second micro-batch
+        class FixedDraws:
+            """Each random(n) call returns the next of these draws."""
+
+            def __init__(self):
+                self.draws = iter([[0.1, 0.9, 0.1], [0.9, 0.9, 0.9], [0.1, 0.1, 0.9]])
+
+            def random(self, n):
+                return np.array(next(self.draws))
+
+        assert _CACHED_MICRO_BATCH == 2
+        toy = EncoderConfig(n_mfcc=4, n_frames=6, dim=4, hidden_dim=8, depth=3, n_classes=3)
+        w = init_weights(toy, seed=9).astype(np.float64)
+        rng = np.random.default_rng(26)
+        for tensor in w.tensors.values():
+            tensor += 0.1 * rng.standard_normal(tensor.shape)
+        feats = rng.standard_normal((3, 4, 6))
+        labels = np.array([2, 0, 1])
+        survival, smoothing = 0.5, 0.1
+        scales = _branch_scales(feats, w, survival, FixedDraws())
+        _, grads = loss_and_grads(
+            feats, labels, w, label_smoothing=smoothing, survival=survival, rng=FixedDraws()
+        )
+        assert grads.keys() == w.tensors.keys()
+
+        def loss_with_scales():
+            logits, _ = forward_batch(feats, w, scales=scales)
+            return smoothed_cross_entropy(logits, labels, smoothing)[0]
+
+        h = 1e-5
+        worst = 0.0
+        for name, tensor in w.tensors.items():
+            flat, gflat = tensor.reshape(-1), grads[name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = loss_with_scales()
+                flat[i] = orig - h
+                down = loss_with_scales()
+                flat[i] = orig
+                fd = (up - down) / (2 * h)
+                if name.startswith("block.1."):
+                    assert gflat[i] == 0.0 and fd == 0.0, name
+                rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-6)
+                worst = max(worst, rel)
+        assert worst < 1e-4
+
+
+def _step_peak_mib(n, survival=0.9):
     """tracemalloc peak of one depth-12 loss_and_grads call on n examples."""
     rng = np.random.default_rng(22)
     w = init_weights(EncoderConfig(), seed=0)
@@ -476,7 +547,7 @@ def _step_peak_mib(n):
     labels = rng.integers(0, 35, n)
     return traced_peak_mib(
         loss_and_grads,
-        feats, labels, w, label_smoothing=0.1, survival=0.9, rng=np.random.default_rng(1),
+        feats, labels, w, label_smoothing=0.1, survival=survival, rng=np.random.default_rng(1),
     )[0]
 
 
@@ -499,18 +570,23 @@ def test_block_cache_holds_only_what_the_backward_pass_reads():
 
     The gated product value * mixed is recomputed by the backward pass.
     Caching it would move the B=16 peak from 8.8 to 9.8 MiB, under the
-    step's 10 MiB bound, so the contents are checked here. Every array
-    owns its data: a view would keep a larger buffer alive.
+    step's 10 MiB bound, so the contents are checked here. A block that
+    some examples dropped holds them for the kept examples only, plus the
+    "keep" mask; a block that every example dropped holds nothing. Every
+    array owns its data: a view would keep a larger buffer alive.
     """
-    w = init_weights(EncoderConfig(depth=2), seed=0)
+    w = init_weights(EncoderConfig(depth=3), seed=0)
     feats = np.random.default_rng(24).standard_normal((4, 40, 98)).astype(np.float32)
-    scales = _branch_scales(feats, w, 0.9, np.random.default_rng(0))
+    kept = np.full(4, 1 / 0.9, np.float32)
+    scales = [kept, np.array([kept[0], 0.0, kept[0], 0.0], np.float32), np.zeros(4, np.float32)]
     _, cache = forward_batch(feats, w, scales=scales)
     assert set(cache) == {"blocks", "xhat_f", "istd_f", "pooled"}
-    for bc in cache["blocks"]:
-        assert set(bc) == {
-            "xhat1", "istd1", "dgelu", "value", "xhat2", "istd2", "mixed", "scale"
-        }
+    full, partial, skipped = cache["blocks"]
+    read = {"xhat1", "istd1", "dgelu", "value", "xhat2", "istd2", "mixed", "scale"}
+    assert set(full) == read and set(partial) == read | {"keep"} and skipped == {}
+    assert partial["keep"].tolist() == [True, False, True, False]
+    for bc in (full, partial):
+        assert len(bc["value"]) == (bc["keep"].sum() if "keep" in bc else 4)
         for name, array in bc.items():
             assert array.base is None, name
 
@@ -523,9 +599,12 @@ def test_training_step_memory_is_flat_in_the_batch_size():
     (1.62 MiB), alive while each later micro-batch runs, which a single
     micro-batch does not need, so it is bounded by 1.1 sets; a ratio bound
     would tighten as a micro-batch's own working set shrinks. In one pass
-    over all 64 examples the step peaks at 226 MiB.
+    over all 64 examples the step peaks at 226 MiB. The one-micro-batch
+    peak is taken at survival 1: a block that an example drops caches
+    nothing for it, so at survival 0.9 the drawn 2 examples peak at 6.05
+    MiB, while the B=64 step has a micro-batch that keeps every block.
     """
-    small, large = _step_peak_mib(_CACHED_MICRO_BATCH), _step_peak_mib(64)
+    small, large = _step_peak_mib(_CACHED_MICRO_BATCH, survival=1.0), _step_peak_mib(64)
     grad_set = init_weights(EncoderConfig()).parameter_count() * 4 / 2**20
     assert large <= small + 1.1 * grad_set, (
         f"B=64 peaks at {large:.2f} MiB, B={_CACHED_MICRO_BATCH} at {small:.2f} MiB, "

@@ -53,6 +53,7 @@ from .dsp import (
 from .encoder import (
     EncoderConfig,
     EncoderWeights,
+    all_finite,
     extract_timestamps,
     init_weights,
     micro_batches,
@@ -256,7 +257,10 @@ def cmd_train(args) -> int:
             log.write(f"{record.step},{record.epoch},{record.lr:.9g},{record.loss:.9g}\n")
 
         try:
-            result = train(features, labels, weights, train_config, on_step=on_step)
+            # overflow is reported by train's finiteness checks and the state
+            # check below, not as warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = train(features, labels, weights, train_config, on_step=on_step)
         except TrainingDivergedError as exc:
             return _fail(EXIT_USAGE, str(exc))
     try:
@@ -264,7 +268,8 @@ def cmd_train(args) -> int:
         save_optimizer_state(output.with_suffix(".opt1"), result.state)
     except OSError as exc:
         return _fail(EXIT_USAGE, f"cannot write {output}: {exc}")
-    accuracy = evaluate(features, labels, weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        accuracy = evaluate(features, labels, weights)
     print(
         json.dumps(
             {
@@ -277,6 +282,13 @@ def cmd_train(args) -> int:
             }
         )
     )
+    # an overflowed AdamW moment stalls its tensor's updates but leaves the weights finite
+    stalled = [name for name, x in result.state.items() if not all_finite(x)]
+    if stalled:
+        print(
+            f"warning: AdamW state holds {len(stalled)} non-finite tensors: {', '.join(stalled)}",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -24,9 +24,9 @@ is empty. The backward pass recomputes the gated product as value *
 mixed, with the same bits, and forms neither norm's output: each norm's
 affine is taken through the product next to it (G for the gate norm, U
 for the pre-norm), and column sums and row means are ones-vector GEMVs.
-encode_backward adds one micro-batch's share into the step's totals, and
-finish_grads takes the pre-norm's affine through the summed U totals
-once per step.
+encode_backward adds one micro-batch's share into the step's gradient
+table, and finish_grads takes the pre-norm's affine through the summed U
+totals once per step, in place.
 
 GELU is exact, u * Phi(u) (Hendrycks & Gimpel, arXiv 1606.08415).
 float32, the dtype of embedding and training, computes Phi(u) = 1/2 +
@@ -67,7 +67,7 @@ _MICRO_BATCH = 4
 
 # Examples per pass when a cache is kept (loss_and_grads). The cache holds
 # depth blocks per example, 277 KB each at the default widths (3.3 MB per
-# example at depth 12), so it, not the step's fixed gradient totals, sets a
+# example at depth 12), so it, not the step's gradient table, sets a
 # training step's peak. Same host: a depth-12, batch-64 step peaked at 17.1
 # MiB of tracemalloc at 4 and 8.8 MiB at 2, and took 965, 966 and 1092 ms
 # at 4, 2 and 1 (medians of 12 interleaved steps), so 2 and not 1.
@@ -191,8 +191,8 @@ def init_weights(config: EncoderConfig | None = None, seed: int = 0) -> EncoderW
 
 
 # Elements per block: the scratch row stays in cache, and no temporary grows
-# with the batch (at (64, 98, 256) float32 each would be a fresh 6.4 MB mmap,
-# slower than the arithmetic it holds).
+# with the input (encode passes at most 4 x 98 x 256, a probe all its rows).
+# 1 << 17 made GELU alone ~30% faster at B=4, but not a `train` call (ROADMAP).
 _GELU_CHUNK = 1 << 15
 
 # The float32 tanh form holds u*u at this clamp, in its fit and in the kernel
@@ -480,14 +480,6 @@ def all_finite(array: np.ndarray) -> bool:
     return math.isfinite(np.vdot(array, array)) or bool(np.isfinite(array).all())
 
 
-def add_grad(totals: dict[str, np.ndarray], name: str, grad: np.ndarray) -> None:
-    """totals[name] += grad, or totals[name] = grad for a name not yet in totals."""
-    if name in totals:
-        totals[name] += grad
-    else:
-        totals[name] = grad
-
-
 def _col_sum(x: np.ndarray) -> np.ndarray:
     """x summed over every axis but the last, as a ones-vector GEMV."""
     flat = _flat(x)
@@ -515,8 +507,8 @@ def _block_backward(
     t, p = tensors, f"block.{index}."
     value, mixed = bc.pop("value"), bc.pop("mixed")
     dbranch = dy if bc["scale"] is None else dy * bc["scale"][:, None, None]
-    add_grad(grads, p + "V", _flat(value * mixed).T @ _flat(dbranch))
-    add_grad(grads, p + "V.bias", _col_sum(dbranch))
+    grads[p + "V"] += _flat(value * mixed).T @ _flat(dbranch)
+    grads[p + "V.bias"] += _col_sum(dbranch)
     dgated = (_flat(dbranch) @ t[p + "V"].T).reshape(value.shape)
     del dbranch
     dvalue = dgated * mixed
@@ -530,7 +522,7 @@ def _block_backward(
     xhat2 = bc.pop("xhat2")
     frames = dmixed.shape[:2]
     rows = _flat(dmixed)
-    add_grad(grads, p + "G.bias", (rows @ np.ones_like(sh2)).reshape(frames).sum(axis=0))
+    grads[p + "G.bias"] += (rows @ np.ones_like(sh2)).reshape(frames).sum(axis=0)
     shift_term = (rows @ sh2).reshape(frames).sum(axis=0)
     del rows
     dn2 = np.matmul(t[p + "G"].T, dmixed)
@@ -538,10 +530,10 @@ def _block_backward(
     dg = (dmixed @ np.swapaxes(xhat2, 1, 2)).sum(axis=0)
     del dmixed
     dg += shift_term[:, None]
-    add_grad(grads, p + "G", dg)
+    grads[p + "G"] += dg
     prod = dn2 * xhat2
-    add_grad(grads, p + "gate_norm.scale", _col_sum(prod))
-    add_grad(grads, p + "gate_norm.shift", _col_sum(dn2))
+    grads[p + "gate_norm.scale"] += _col_sum(prod)
+    grads[p + "gate_norm.shift"] += _col_sum(dn2)
     # row means of dxhat2 = dn2 * s2 and of dxhat2 * xhat2, by GEMV
     mean_weights = s2 / len(s2)
     mean_prod = _row_dot(prod, mean_weights)
@@ -557,8 +549,8 @@ def _block_backward(
     # upre = (xhat1 * s1 + sh1) @ U + U.bias
     xhat1 = bc.pop("xhat1")
     rows = _flat(dupre)
-    add_grad(grads, p + "U", _flat(xhat1).T @ rows)
-    add_grad(grads, p + "U.bias", _col_sum(dupre))
+    grads[p + "U"] += _flat(xhat1).T @ rows
+    grads[p + "U.bias"] += _col_sum(dupre)
     dxhat1 = (rows @ (t[p + "U"] * t[p + "pre_norm.scale"][:, None]).T).reshape(xhat1.shape)
     del dupre, rows
     mean_weights = np.full(xhat1.shape[-1], 1.0 / xhat1.shape[-1], dxhat1.dtype)
@@ -572,20 +564,21 @@ def encode_backward(
 ) -> None:
     """Add one micro-batch's share of the step's gradient totals into grads.
 
-    dts is the gradient of encode's output, and features and cache are the
-    input and the cache of that call. Each total is added as soon as it is
-    formed (add_grad), and each cached array and temporary is dropped after
-    its last use, so a block's backward holds little more than its own
-    cache. A block runs backward on the examples it ran forward on; a block
-    that every example dropped adds nothing. After the step's last call,
-    finish_grads turns the totals into gradients.
+    grads is the step's zeroed gradient table. dts is the gradient of
+    encode's output, and features and cache are the input and the cache
+    of that call. Each share is added as soon as it is formed, and each
+    cached array and temporary is dropped after its last use, so a block's
+    backward holds little more than its own cache. A block runs backward
+    on the examples it ran forward on; one that every example dropped
+    adds nothing. After the step's last call, finish_grads turns the
+    totals into gradients.
     """
     t = tensors
     dx, dscale, dshift = layer_norm_backward(
         dts, cache["xhat_f"], cache["istd_f"], t["final_norm.scale"]
     )
-    add_grad(grads, "final_norm.scale", dscale)
-    add_grad(grads, "final_norm.shift", dshift)
+    grads["final_norm.scale"] += dscale
+    grads["final_norm.shift"] += dshift
     for i in reversed(range(len(cache["blocks"]))):
         bc = cache["blocks"].pop()
         if not bc:
@@ -596,12 +589,12 @@ def encode_backward(
             dx = np.add(dx, dxpre, out=dxpre)
         else:
             dx[keep] += _block_backward(dx[keep], t, i, bc, grads)
-    add_grad(grads, "P0", _flat(np.swapaxes(features, 1, 2)).T @ _flat(dx))
-    add_grad(grads, "P0.bias", _col_sum(dx))
+    grads["P0"] += _flat(np.swapaxes(features, 1, 2)).T @ _flat(dx)
+    grads["P0.bias"] += _col_sum(dx)
 
 
-def finish_grads(grads: dict, tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The step's gradients, in tensors' order, from encode_backward's totals.
+def finish_grads(grads: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Turn the step's totals in grads into its gradients, in place.
 
     The pre-norm's affine is taken through U once per step, on the totals
     A = sum xhat1.T @ dupre and cs = sum 1.T @ dupre (U.bias's gradient),
@@ -610,19 +603,18 @@ def finish_grads(grads: dict, tensors: dict[str, np.ndarray]) -> dict[str, np.nd
     of the step's last encode_backward call. (Per micro-batch of 2, the
     (dim, hidden) products would cost more than the (B * T, dim) passes
     they replace, since B * T = 196 rows is fewer than 256 columns.) A
-    tensor with no total (a block that every example of the step dropped)
-    gets a zero gradient.
+    block that every example of the step dropped has zero totals, and
+    they fold to zero gradients.
     """
-    for name in tensors:
-        if not (name.endswith(".U") and name in grads):
+    for name, u in tensors.items():
+        if not name.endswith(".U"):
             continue
         p = name[:-1]
-        a, cs, u = grads[name], grads[p + "U.bias"], tensors[name]
-        grads[p + "pre_norm.scale"] = np.einsum("ch,ch->c", u, a)
-        grads[p + "pre_norm.shift"] = u @ cs
+        a, cs = grads[name], grads[p + "U.bias"]
+        np.einsum("ch,ch->c", u, a, out=grads[p + "pre_norm.scale"])
+        np.matmul(u, cs, out=grads[p + "pre_norm.shift"])
         a *= tensors[p + "pre_norm.scale"][:, None]
         a += np.multiply.outer(tensors[p + "pre_norm.shift"], cs)
-    return {k: grads[k] if k in grads else np.zeros_like(v) for k, v in tensors.items()}
 
 
 def check_features(features: np.ndarray, cfg: EncoderConfig, batched: bool = False) -> None:

@@ -15,16 +15,16 @@ holds.
 
 A step runs in encoder.micro_batches of the cached size, 2 examples.
 loss_and_grads draws every block's stochastic-depth decisions for the
-whole batch first, then runs forward, loss and backward on one slice at a
-time, adding each weight gradient into the step's totals as soon as it is
-formed; encoder.finish_grads turns the totals into the step's gradients.
-Examples never interact (layer norm works per frame, pooling per
-example), so the loss and the random stream are those of one pass over
-the whole batch, and only the float summation order of the gradients
-differs. Only one slice's cache is alive at a time, so a step's memory
-does not grow with the batch size: the cache of 2 examples and the
-gradient totals set it. predict is one uncached encode call, which cuts
-the uncached micro-batches of 4 itself.
+whole batch first, then runs forward, loss and backward on one slice at
+a time, adding each share into one zeroed gradient table as soon as it
+is formed; encoder.finish_grads turns the totals into the step's
+gradients in place. Examples never interact (layer norm works per
+frame, pooling per example), so the loss and the random stream are
+those of one pass over the whole batch, and only the float summation
+order of the gradients differs. Only one slice's cache is alive at a
+time, so a step's memory does not grow with the batch size: the cache
+of 2 examples and the gradient table set it. predict is one uncached
+encode call, which cuts the uncached micro-batches of 4 itself.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 from .encoder import (
     EncoderConfig,
     EncoderWeights,
-    add_grad,
     all_finite,
     check_features,
     encode,
@@ -245,10 +244,11 @@ def loss_and_grads(
     (_branch_scales). Forward, loss rows and backward (the head's
     gradients here, the encoder's from encode_backward) then run on one
     slice of micro_batches at a time; each slice's cache is dropped before
-    the next forward. Every gradient is added into the step's totals as
-    it is formed, so a slice never holds a full set of its own, and
-    encoder.finish_grads turns the totals into gradients, zero for a
-    tensor that no slice reached. dlogits is divided by the whole batch's
+    the next forward. Every share is added into the step's gradient table
+    as it is formed, so a slice never holds a full set of its own, and
+    encoder.finish_grads turns the totals into gradients in place: in
+    weights.tensors order and the dtype of features and weights together,
+    zero where no slice reached. dlogits is divided by the whole batch's
     size.
     """
     cfg, t = weights.config, weights.tensors
@@ -259,22 +259,26 @@ def loss_and_grads(
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} examples")
     scales = _branch_scales(features, weights, survival, rng)
-    rows = []
-    grads: dict[str, np.ndarray] = {}
+    rows, grads = [], None
     for part in micro_batches(n, cached=True):
         logits, cache = forward_batch(
             features[part], weights, scales=None if scales is None else [s[part] for s in scales]
         )
+        if grads is None:
+            # above the first cache on the heap, so glibc cannot trim the heap top
+            # as each slice's cache is freed (a `train` call: 3x the page faults)
+            grads = {name: np.zeros(x.shape, np.result_type(features, x)) for name, x in t.items()}
         row, residual = _cross_entropy_terms(logits, labels[part], label_smoothing)
         rows.append(row)
         dlogits = residual / n
-        add_grad(grads, "head.W", cache["pooled"].T @ dlogits)
-        add_grad(grads, "head.bias", dlogits.sum(axis=0))
+        grads["head.W"] += cache["pooled"].T @ dlogits
+        grads["head.bias"] += dlogits.sum(axis=0)
         dpooled = dlogits @ t["head.W"].T
         dts = np.broadcast_to(dpooled[:, None, :], (len(logits), cfg.n_frames, cfg.dim))
         encode_backward(dts / cfg.n_frames, features[part], t, cache, grads)
         del cache
-    return float(-np.concatenate(rows).mean()), finish_grads(grads, t)
+    finish_grads(grads, t)
+    return float(-np.concatenate(rows).mean()), grads
 
 
 def init_adamw_state(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

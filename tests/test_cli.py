@@ -560,7 +560,6 @@ class TestTrain:
     def test_optimizer_path_that_is_a_directory_exits_1(self, tmp_path, capsys, monkeypatch):
         self._assert_exits_1_before_training(tmp_path, capsys, monkeypatch, "m.opt1")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_exits_1_and_writes_no_weights(self, tmp_path, capsys):
         manifest = write_tiny_dataset(tmp_path)
         out = tmp_path / "m.kwm1"
@@ -571,11 +570,11 @@ class TestTrain:
         assert not out.exists()
         assert not out.with_suffix(".opt1").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_update_that_leaves_weights_non_finite_exits_1_and_writes_no_weights(
         self, tmp_path, capsys
     ):
-        # the one step's loss is finite; its update turns every weight NaN or Inf
+        # the one step's loss is finite; its update turns every weight NaN or
+        # Inf, and the overflow shows as the one error line, not as warnings
         manifest = write_tiny_dataset(tmp_path, n_per_class=2)
         out = tmp_path / "m.kwm1"
         flags = ["--depth", "1", "--epochs", "1", "--warmup-epochs", "0", "--peak-lr", "1e300"]
@@ -583,9 +582,27 @@ class TestTrain:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "training diverged at step 0 (the update left" in captured.err
+        diverged = "error: training diverged at step 0 (the update left P0 non-finite)"
+        assert captured.err == diverged + "\n"
         assert not out.exists()
         assert not out.with_suffix(".opt1").exists()
+
+    def test_run_whose_adamw_state_overflows_warns_once(self, tmp_path, capsys):
+        # at depth 12, time-masked frames amplify the first step's gradients
+        # until AdamW's float32 second moment overflows; the weights stay finite
+        manifest = write_tiny_dataset(tmp_path, n_per_class=2)
+        out = tmp_path / "m.kwm1"
+        flags = ["--depth", "12", "--epochs", "1", "--warmup-epochs", "0"]
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)] + flags)
+        assert code == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["steps"] == 1
+        assert captured.err == (
+            "warning: AdamW state holds 7 non-finite tensors: v.P0.bias, "
+            "v.block.0.pre_norm.shift, v.block.0.U.bias, v.block.0.V.bias, "
+            "v.block.1.pre_norm.shift, v.block.1.U.bias, v.block.1.V.bias\n"
+        )
+        assert load_weights(out).config.depth == 12  # finite, or loading would fail
 
     def test_bad_hyperparameters_exit_1(self, tmp_path):
         manifest = write_tiny_dataset(tmp_path)

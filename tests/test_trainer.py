@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -471,6 +472,21 @@ class TestGradients:
             np.testing.assert_array_equal(grads[name], 0.0, err_msg=name)
         assert np.any(grads["head.W"] != 0.0)  # the head still learns
 
+    def test_every_gradient_has_the_step_dtype(self):
+        # float64 features on float32 weights promote the whole step, the
+        # gradients of a block that every example dropped included
+        w = init_weights(dataclasses.replace(TOY, depth=3), seed=0)
+        feats = np.random.default_rng(1).standard_normal((4, 4, 6))
+        labels = np.array([0, 1, 2, 0])
+        scales = _branch_scales(feats, w, 0.3, np.random.default_rng(0))
+        assert [bool(s.any()) for s in scales] == [True, False, True]
+        _, grads = loss_and_grads(feats, labels, w, survival=0.3, rng=np.random.default_rng(0))
+        assert list(grads) == list(w.tensors)
+        for name, grad in grads.items():
+            assert grad.dtype == np.float64, name
+            if name.startswith("block.1."):
+                np.testing.assert_array_equal(grad, 0.0, err_msg=name)
+
     def test_dropped_branch_that_overflows_is_an_identity(self):
         # a dropped block is never run, so its infinite output cannot turn
         # the loss NaN (as inf * 0 would)
@@ -557,8 +573,8 @@ def test_training_step_memory_is_bounded():
     One cached micro-batch's block cache (2 examples) is alive at a time,
     the gated product is recomputed in the backward pass rather than
     cached, the backward pass drops each cached array and temporary after
-    its last use, and each gradient is added into the step's totals as it
-    is formed, so no second set of gradients is held. Micro-batches of 4
+    its last use, and each gradient is added into the step's gradient
+    table as it is formed, so no second set of gradients is held. Micro-batches of 4
     peaked at 17.1 MiB, and one pass over all 16 examples at 56.5 MiB.
     """
     peak = _step_peak_mib(16)
@@ -594,14 +610,16 @@ def test_block_cache_holds_only_what_the_backward_pass_reads():
 def test_training_step_memory_is_flat_in_the_batch_size():
     """Only one micro-batch's block cache is alive at a time.
 
-    A depth-12 step peaks at 7.1 MiB on one cached micro-batch (2
-    examples) and 8.8 MiB at B=64. The gap is one set of gradient totals
-    (1.62 MiB), alive while each later micro-batch runs, which a single
-    micro-batch does not need, so it is bounded by 1.1 sets; a ratio bound
-    would tighten as a micro-batch's own working set shrinks. In one pass
-    over all 64 examples the step peaks at 226 MiB. The one-micro-batch
+    A depth-12 step peaks at 8.35 MiB on one cached micro-batch (2
+    examples) and 8.75 MiB at B=64: both hold the step's gradient table
+    (1.62 MiB, allocated after the first forward pass). The gap is
+    bounded by 1.1 gradient sets; a ratio bound would tighten as a
+    micro-batch's own working set shrinks. (A second gradient set held
+    through the micro-batches would pass here and fail
+    test_training_step_memory_is_bounded.) In one pass over all 64
+    examples the step peaks at 226 MiB. The one-micro-batch
     peak is taken at survival 1: a block that an example drops caches
-    nothing for it, so at survival 0.9 the drawn 2 examples peak at 6.05
+    nothing for it, so at survival 0.9 the drawn 2 examples peak at 7.52
     MiB, while the B=64 step has a micro-batch that keeps every block.
     """
     small, large = _step_peak_mib(_CACHED_MICRO_BATCH, survival=1.0), _step_peak_mib(64)

@@ -11,8 +11,10 @@ feature grid, more train time masks than frames (98) or frequency masks
 than coefficients (40), an interp-demo size above 4,096, an unwritable
 --output or interp-demo --output-dir, a train --output ending in .opt1
 or .csv, a train output, .opt1 or .csv path that is the manifest, a
-negative train --seed) and diverged training runs (a non-finite loss, or
-an update that leaves a weight non-finite); 2 weight files that are
+negative train --seed, a train run of more than 4,294,967,295 steps,
+epochs times batches per epoch, found before any WAV is decoded) and
+diverged training runs (a non-finite loss, or an update that leaves a
+weight non-finite); 2 weight files that are
 unreadable, malformed, non-finite or inconsistent with their meta (a
 meta depth above 1,024 among them), and for embed weights of another
 feature geometry than the front end's or finite weights whose
@@ -22,8 +24,8 @@ manifest problems, among them a label not below the number of entries;
 5 probe data problems (non-finite embeddings, embeddings and labels
 that do not line up, fewer than two classes, a label not below the
 number of examples, a non-finite learning rate, more than 65,536 hidden
-units, a negative seed, a non-finite loss, optimizer state or final
-logits).
+units, more than 4,294,967,295 epochs, a negative seed, a non-finite
+loss, optimizer state or final logits).
 Every command prints a single JSON line with its results.
 """
 
@@ -213,6 +215,7 @@ def cmd_train(args) -> int:
         encoder_config = EncoderConfig(depth=args.depth, n_classes=n_classes)
         train_config = _config_from_args(TrainConfig, args)
         train_config.check_mask_widths(encoder_config)
+        train_config.check_step_count(len(entries))
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
     output = Path(args.output)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import gelu, gelu_with_grad, glorot
-from .trainer import adamw_update, class_count, init_adamw_state, smoothed_cross_entropy
+from .trainer import MAX_STEPS, adamw_update, class_count, init_adamw_state, smoothed_cross_entropy
 
 # Hidden units at most. W1 is (features, hidden_units) float32: at the
 # 1,024-wide scene embedding and 65,536 units that is 256 MiB, and a fit
@@ -33,8 +33,8 @@ class ProbeConfig:
     def __post_init__(self):
         if not 0 <= self.hidden_units <= MAX_HIDDEN_UNITS:
             raise ValueError(f"hidden_units must lie in [0, {MAX_HIDDEN_UNITS}]")
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
+        if not 1 <= self.epochs <= MAX_STEPS:
+            raise ValueError(f"epochs must lie in [1, {MAX_STEPS}] (one optimizer step each)")
         if not 0 < self.lr < math.inf:
             raise ValueError("lr must be positive and finite")
         if self.seed < 0:

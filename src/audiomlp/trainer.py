@@ -16,20 +16,36 @@ holds.
 A step runs in encoder.micro_batches of the cached size, 2 examples.
 loss_and_grads draws every block's stochastic-depth decisions for the
 whole batch first, then runs forward, loss and backward on one slice at
-a time, adding each share into one zeroed gradient table as soon as it
-is formed; encoder.finish_grads turns the totals into the step's
-gradients in place. Examples never interact (layer norm works per
-frame, pooling per example), so the loss and the random stream are
-those of one pass over the whole batch, and only the float summation
-order of the gradients differs. Only one slice's cache is alive at a
-time, so a step's memory does not grow with the batch size: the cache
-of 2 examples and the gradient table set it. predict is one uncached
-encode call, which cuts the uncached micro-batches of 4 itself.
+a time, adding each share into a zeroed gradient table as soon as it is
+formed; encoder.finish_grads turns the totals into the step's gradients
+in place. Examples never interact (layer norm works per frame, pooling
+per example), so the loss and the random stream are those of one pass
+over the whole batch, and only the float summation order of the
+gradients differs. Only one slice's cache is alive at a time, so a
+step's memory does not grow with the batch size: the cache of 2
+examples and the gradient table set it. predict runs uncached encode
+calls on the uncached micro-batches of 4.
+
+Both run on two CPUs where they can: the first half of the slices runs
+in the calling process and the second half in one forked child, which
+writes its loss rows and its own gradient table (predict: its pooled
+frames) into an anonymous shared mmap. Each process holds one gradient
+table, and the parent adds the child's table into its own before
+finish_grads. The child runs only when the process may use 2 CPUs, has
+no other thread (such as a BLAS pool) and has 2 slices or more; when it
+cannot, or it fails, the parent runs the second half itself into the
+same shared table, so the bits do not depend on where it ran.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
+import signal
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +64,10 @@ from .encoder import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Steps at most: AdamW's step counter is OPT1's uint32, which would wrap to
+# 0, and bias correction would divide by 1 - beta1**0 = 0.
+MAX_STEPS = 2**32 - 1
 
 
 class TrainingDivergedError(ValueError):
@@ -95,6 +115,15 @@ class TrainConfig:
         for name in ("time_masks", "time_mask_width", "freq_masks", "freq_mask_width"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+
+    def check_step_count(self, n_examples: int) -> None:
+        """ValueError if epochs x ceil(n_examples / batch_size) steps pass MAX_STEPS."""
+        steps = self.epochs * -(-n_examples // self.batch_size)
+        if steps > MAX_STEPS:
+            raise ValueError(
+                f"{steps} steps ({self.epochs} epochs of {n_examples} examples in batches of "
+                f"{self.batch_size}) exceed the optimizer's {MAX_STEPS} steps"
+            )
 
     def check_mask_widths(self, cfg: EncoderConfig) -> None:
         """ValueError if a mask can be wider than cfg's (n_mfcc, n_frames) feature
@@ -229,6 +258,86 @@ def forward_batch(
     return logits, cache
 
 
+def _shared_zeros(layout: dict[str, tuple[tuple[int, ...], np.dtype]]) -> dict[str, np.ndarray]:
+    """Zeroed arrays of layout's {name: (shape, dtype)} in one anonymous
+    shared mmap, each on a 64-byte boundary: what a forked child writes to
+    them, its parent reads. tracemalloc does not count them.
+    """
+    sizes = [-(-np.dtype(d).itemsize * math.prod(s) // 64) * 64 for s, d in layout.values()]
+    buffer = mmap.mmap(-1, max(sum(sizes), 1))
+    arrays, offset = {}, 0
+    for (name, (shape, dtype)), size in zip(layout.items(), sizes):
+        arrays[name] = np.frombuffer(buffer, dtype, math.prod(shape), offset).reshape(shape)
+        offset += size
+    return arrays
+
+
+def _spare_cpu() -> bool:
+    """Whether a forked child could run beside this process on a CPU of its own.
+
+    This process must be allowed at least 2 CPUs and have a single thread:
+    a BLAS thread pool already spreads the products over the CPUs, and a
+    forked copy of it contends with the first (2-CPU machine, 2 OpenBLAS
+    threads: a depth-2 batch-32 step split across a child took 54 to 2,709
+    ms, against 43 ms in one process).
+    """
+    try:
+        return len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):  # no affinity mask or no /proc: not Linux
+        return False
+
+
+def _in_two_processes(
+    parts: list[slice], run: Callable[[list[slice], bool], None], second_totals: dict
+) -> None:
+    """run(shard, second) on the two contiguous halves of parts, the second
+    half (second=True) in one forked child when _spare_cpu().
+
+    The second half must leave its results only in _shared_zeros arrays,
+    adding into the zeroed second_totals or overwriting its own examples'
+    rows. The child turns every warning and floating-point report into an
+    exception, and exits non-zero on any exception. When no child ran or
+    it exited non-zero, second_totals are zeroed again and the second half
+    runs here after the first, so results, exceptions and warnings are
+    those of one process, and no bit depends on where the second half
+    ran. The child is always reaped, and killed first when this process
+    unwinds from an exception of its own.
+    """
+    half = (len(parts) + 1) // 2
+    first, second = parts[:half], parts[half:]
+    pid = None
+    if second and _spare_cpu():
+        with contextlib.suppress(OSError):
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                reported = {k: "raise" for k, v in np.geterr().items() if v != "ignore"}
+                with warnings.catch_warnings(), np.errstate(**reported):
+                    warnings.simplefilter("error")
+                    run(second, True)
+                code = 0
+            finally:
+                os._exit(code)
+    done = False
+    try:
+        run(first, False)
+        if pid is not None:
+            # ChildProcessError: reaped without us (SIGCHLD ignored), status unknown
+            with contextlib.suppress(ChildProcessError):
+                done = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+            pid = None
+    finally:
+        if pid is not None:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if not done:
+        for total in second_totals.values():
+            total[...] = 0
+        run(second, True)
+
+
 def loss_and_grads(
     features: np.ndarray,
     labels: np.ndarray,
@@ -244,8 +353,10 @@ def loss_and_grads(
     (_branch_scales). Forward, loss rows and backward (the head's
     gradients here, the encoder's from encode_backward) then run on one
     slice of micro_batches at a time; each slice's cache is dropped before
-    the next forward. Every share is added into the step's gradient table
-    as it is formed, so a slice never holds a full set of its own, and
+    the next forward. Every share is added into a gradient table as it is
+    formed, so a slice never holds a full set of its own. The first half
+    of the slices adds into this process's table, the second half into a
+    shared one (_in_two_processes), which is then added into the first;
     encoder.finish_grads turns the totals into gradients in place: in
     weights.tensors order and the dtype of features and weights together,
     zero where no slice reached. dlogits is divided by the whole batch's
@@ -259,26 +370,38 @@ def loss_and_grads(
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} examples")
     scales = _branch_scales(features, weights, survival, rng)
-    rows, grads = [], None
-    for part in micro_batches(n, cached=True):
-        logits, cache = forward_batch(
-            features[part], weights, scales=None if scales is None else [s[part] for s in scales]
-        )
-        if grads is None:
-            # above the first cache on the heap, so glibc cannot trim the heap top
-            # as each slice's cache is freed (a `train` call: 3x the page faults)
-            grads = {name: np.zeros(x.shape, np.result_type(features, x)) for name, x in t.items()}
-        row, residual = _cross_entropy_terms(logits, labels[part], label_smoothing)
-        rows.append(row)
-        dlogits = residual / n
-        grads["head.W"] += cache["pooled"].T @ dlogits
-        grads["head.bias"] += dlogits.sum(axis=0)
-        dpooled = dlogits @ t["head.W"].T
-        dts = np.broadcast_to(dpooled[:, None, :], (len(logits), cfg.n_frames, cfg.dim))
-        encode_backward(dts / cfg.n_frames, features[part], t, cache, grads)
-        del cache
+    parts = micro_batches(n, cached=True)
+    layout = {name: (x.shape, np.result_type(features, x)) for name, x in t.items()}
+    row_dtype = np.result_type(features, *{x.dtype for x in t.values()})
+    # every slice's loss rows, and the second half's gradient table
+    second_grads = _shared_zeros({"rows": ((n,), row_dtype)} | (layout if len(parts) > 1 else {}))
+    rows = second_grads.pop("rows")
+    grads: dict[str, np.ndarray] = {}
+
+    def run(shard: list[slice], second: bool) -> None:
+        totals = second_grads if second else grads
+        for part in shard:
+            part_scales = None if scales is None else [s[part] for s in scales]
+            logits, cache = forward_batch(features[part], weights, scales=part_scales)
+            if not totals:
+                # above the first cache on the heap, so glibc cannot trim the heap top
+                # as each slice's cache is freed (a `train` call: 3x the page faults)
+                totals.update({name: np.zeros(*spec) for name, spec in layout.items()})
+            row, residual = _cross_entropy_terms(logits, labels[part], label_smoothing)
+            rows[part] = row
+            dlogits = residual / n
+            totals["head.W"] += cache["pooled"].T @ dlogits
+            totals["head.bias"] += dlogits.sum(axis=0)
+            dpooled = dlogits @ t["head.W"].T
+            dts = np.broadcast_to(dpooled[:, None, :], (len(logits), cfg.n_frames, cfg.dim))
+            encode_backward(dts / cfg.n_frames, features[part], t, cache, totals)
+            del cache
+
+    _in_two_processes(parts, run, second_grads)
+    for name, total in second_grads.items():
+        grads[name] += total
     finish_grads(grads, t)
-    return float(-np.concatenate(rows).mean()), grads
+    return float(-rows.mean()), grads
 
 
 def init_adamw_state(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -356,7 +479,8 @@ def train(
     identical weights out. A non-finite loss raises TrainingDivergedError
     before that step's update, and an update that leaves a weight NaN or
     infinite raises it after the update, before on_step; either way the
-    weights should be discarded.
+    weights should be discarded. More than MAX_STEPS steps in all is a
+    ValueError before the first.
     """
     cfg = weights.config
     features = np.asarray(features)
@@ -367,6 +491,7 @@ def train(
     if labels.min() < 0 or labels.max() >= cfg.n_classes:
         raise ValueError(f"labels must lie in [0, {cfg.n_classes})")
     config.check_mask_widths(cfg)
+    config.check_step_count(len(features))
 
     rng = np.random.default_rng(config.seed)
     state = init_adamw_state(weights.tensors)
@@ -410,14 +535,24 @@ def train(
 def predict(features: np.ndarray, weights: EncoderWeights) -> np.ndarray:
     """Argmax class per example (no stochastic depth).
 
-    The logits are forward_batch's, but encode runs without a cache, so no
-    backward intermediates are kept and it runs in micro-batches.
+    The logits are forward_batch's, but encode runs without a cache, one
+    uncached micro-batch at a time, so no backward intermediates are kept.
+    The second half of the micro-batches runs in a forked child when one
+    can (_in_two_processes); the pooled frames of each micro-batch do not
+    depend on the others, so the bits do not depend on where it ran.
     """
     cfg = weights.config
     t = weights.tensors
     check_features(features, cfg, batched=True)
-    logits = encode(features, t, cfg.depth).mean(axis=1) @ t["head.W"] + t["head.bias"]
-    return np.argmax(logits, axis=1)
+    dtype = np.result_type(features, *{x.dtype for x in t.values()})
+    pooled = _shared_zeros({"pooled": ((len(features), cfg.dim), dtype)})["pooled"]
+
+    def run(shard: list[slice], second: bool) -> None:
+        for part in shard:
+            pooled[part] = encode(features[part], t, cfg.depth).mean(axis=1)
+
+    _in_two_processes(micro_batches(len(features)), run, {})
+    return np.argmax(pooled @ t["head.W"] + t["head.bias"], axis=1)
 
 
 def evaluate(features: np.ndarray, labels: np.ndarray, weights: EncoderWeights) -> float:

@@ -396,6 +396,19 @@ class TestTrain:
         assert captured.out == "" and "largest label 1000000000000" in captured.err
         assert list(tmp_path.glob("m.*")) == []
 
+    def test_more_steps_than_the_optimizer_counts_exits_1_before_decoding(self, tmp_path, capsys):
+        # 2 entries in batches of 1: 2**31 epochs are 2**32 steps, one past the
+        # uint32 step counter; the WAVs do not exist
+        manifest = tmp_path / "labels.tsv"
+        manifest.write_text("ghost.wav\t0\nother.wav\t1\n")
+        argv = ["train", "--manifest", str(manifest), "--output", str(tmp_path / "m.kwm1"),
+                "--batch-size", "1", "--epochs"]
+        assert main(argv + [str(2**31)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceed the optimizer's 4294967295 steps" in captured.err
+        assert list(tmp_path.glob("m.*")) == []
+        assert main(argv + [str(2**31 - 1)]) == 3  # within the counter: decoding fails
+
     @pytest.mark.parametrize("flag, width", [("--time-mask-width", "500"), ("--freq-mask-width", "41")])
     def test_mask_wider_than_the_feature_grid_exits_1_and_writes_nothing(
         self, tmp_path, capsys, flag, width
@@ -718,6 +731,13 @@ class TestProbe:
         assert main(argv) == 5
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
+
+    def test_more_epochs_than_the_optimizer_counts_exits_5(self, tmp_path, capsys):
+        emb_path, labels_path = self._write_probe_inputs(tmp_path, n=4)
+        argv = ["probe", "--embeddings", str(emb_path), "--labels", str(labels_path)]
+        assert main(argv + ["--epochs", str(2**32)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "epochs must lie in [1, 4294967295]" in captured.err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_in_the_last_update_exits_5(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from audiomlp.probe import (
     probe_logits,
     train_probe,
 )
+from audiomlp.trainer import MAX_STEPS
 
 
 def blobs(n_per_class=30, seed=0, spread=0.3):
@@ -50,6 +51,7 @@ class TestConfig:
             {"lr": float("inf")},
             {"hidden_units": MAX_HIDDEN_UNITS + 1},
             {"seed": -1},
+            {"epochs": MAX_STEPS + 1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

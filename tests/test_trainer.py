@@ -2,9 +2,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import time
+import warnings
 
 import numpy as np
 import pytest
+
+from audiomlp import trainer
+from audiomlp.cli import main
 
 from audiomlp.encoder import (
     _CACHED_MICRO_BATCH,
@@ -12,12 +18,12 @@ from audiomlp.encoder import (
     EncoderConfig,
     block_forward,
     extract_timestamps,
-    gelu,
     init_weights,
     layer_norm,
     layer_norm_backward,
 )
 from audiomlp.trainer import (
+    MAX_STEPS,
     StepRecord,
     TrainConfig,
     TrainingDivergedError,
@@ -33,7 +39,7 @@ from audiomlp.trainer import (
     smoothed_cross_entropy,
     train,
 )
-from conftest import traced_peak_mib
+from conftest import _einsum_loss_and_grads, make_wav, noise_clip, sine_clip, traced_peak_mib
 
 TOY = EncoderConfig(n_mfcc=4, n_frames=6, dim=4, hidden_dim=8, depth=2, n_classes=3)
 
@@ -43,77 +49,6 @@ def loss_only(features, labels, weights, smoothing):
     logits, _ = forward_batch(features, weights)
     loss, _ = smoothed_cross_entropy(logits, labels, smoothing)
     return loss
-
-
-def _einsum_loss_and_grads(features, labels, weights, label_smoothing, survival, rng):
-    """Oracle for loss_and_grads: the backward pass as first written.
-
-    Its forward pass keeps every intermediate (the norm outputs n1/n2 and
-    the GELU input upre), the GELU derivative is evaluated on its own, and
-    the weight gradients are einsums. survival must be < 1.
-    """
-    cfg, t = weights.config, weights.tensors
-    half = cfg.half_dim
-    dtype = np.result_type(features, t["P0"], t["P0.bias"])
-    scales = [
-        ((rng.random(len(features)) < survival) / survival).astype(dtype)
-        for _ in range(cfg.depth)
-    ]
-    x = np.swapaxes(features, 1, 2) @ t["P0"] + t["P0.bias"]
-    blocks = []
-    for i in range(cfg.depth):
-        p = f"block.{i}."
-        bc = {}
-        n1 = layer_norm(x, t[p + "pre_norm.scale"], t[p + "pre_norm.shift"], bc, "1")
-        upre = n1 @ t[p + "U"] + t[p + "U.bias"]
-        hidden = gelu(upre)
-        value, gate = hidden[..., :half], hidden[..., half:]
-        n2 = layer_norm(gate, t[p + "gate_norm.scale"], t[p + "gate_norm.shift"], bc, "2")
-        mixed = t[p + "G"] @ n2 + t[p + "G.bias"][:, None]
-        gated = value * mixed
-        x = x + (gated @ t[p + "V"] + t[p + "V.bias"]) * scales[i][:, None, None]
-        bc.update(n1=n1, upre=upre, value=value, n2=n2, mixed=mixed, gated=gated)
-        blocks.append(bc)
-    fc = {}
-    pooled = layer_norm(x, t["final_norm.scale"], t["final_norm.shift"], fc).mean(axis=1)
-    loss, dlogits = smoothed_cross_entropy(
-        pooled @ t["head.W"] + t["head.bias"], labels, label_smoothing
-    )
-
-    grads = {"head.W": pooled.T @ dlogits, "head.bias": dlogits.sum(axis=0)}
-    dts = np.broadcast_to(
-        (dlogits @ t["head.W"].T)[:, None, :], (len(features), cfg.n_frames, cfg.dim)
-    ) / cfg.n_frames
-    dx, grads["final_norm.scale"], grads["final_norm.shift"] = layer_norm_backward(
-        dts, fc["xhat"], fc["istd"], t["final_norm.scale"]
-    )
-    for i in reversed(range(cfg.depth)):
-        p = f"block.{i}."
-        bc = blocks[i]
-        dbranch = dx * scales[i][:, None, None]
-        grads[p + "V"] = np.einsum("btc,btd->cd", bc["gated"], dbranch)
-        grads[p + "V.bias"] = dbranch.sum(axis=(0, 1))
-        dgated = dbranch @ t[p + "V"].T
-        dvalue = dgated * bc["mixed"]
-        dmixed = dgated * bc["value"]
-        grads[p + "G"] = np.einsum("btd,bud->tu", dmixed, bc["n2"])
-        grads[p + "G.bias"] = dmixed.sum(axis=(0, 2))
-        dgate, grads[p + "gate_norm.scale"], grads[p + "gate_norm.shift"] = layer_norm_backward(
-            np.matmul(t[p + "G"].T, dmixed), bc["xhat2"], bc["istd2"], t[p + "gate_norm.scale"]
-        )
-        u = bc["upre"]
-        pdf = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-        cdf = 0.5 * (1.0 + np.vectorize(math.erf, otypes=[u.dtype])(u / math.sqrt(2.0)))
-        dupre = np.concatenate([dvalue, dgate], axis=-1) * (cdf + u * pdf)
-        grads[p + "U"] = np.einsum("btd,bth->dh", bc["n1"], dupre)
-        grads[p + "U.bias"] = dupre.sum(axis=(0, 1))
-        dxpre, grads[p + "pre_norm.scale"], grads[p + "pre_norm.shift"] = layer_norm_backward(
-            dupre @ t[p + "U"].T, bc["xhat1"], bc["istd1"], t[p + "pre_norm.scale"]
-        )
-        dx = dx + dxpre
-    grads["P0"] = np.einsum("btf,btd->fd", np.swapaxes(features, 1, 2), dx)
-    grads["P0.bias"] = dx.sum(axis=(0, 1))
-    return loss, grads
 
 
 class TestTrainConfig:
@@ -145,6 +80,13 @@ class TestTrainConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_step_count_must_fit_the_optimizer_counter(self):
+        # AdamW's uint32 step would wrap to 0 after MAX_STEPS
+        assert MAX_STEPS == np.iinfo(init_adamw_state({})["step"].dtype).max
+        TrainConfig(epochs=MAX_STEPS, batch_size=2).check_step_count(2)
+        with pytest.raises(ValueError, match="4294967296 steps"):
+            TrainConfig(epochs=2**31, batch_size=1).check_step_count(2)
 
 
 class TestAugment:
@@ -630,6 +572,38 @@ def test_training_step_memory_is_flat_in_the_batch_size():
     )
 
 
+def test_second_half_of_a_step_shares_one_gradient_set(monkeypatch):
+    """tracemalloc does not see the shared mmap that the second half of a
+    step's micro-batches adds its gradients into, so its size is pinned
+    here: one gradient set and the loss rows, at any batch size.
+    """
+    made = []
+
+    def shared_zeros(layout):
+        made.append(real(layout))
+        return made[-1]
+
+    real = trainer._shared_zeros
+    monkeypatch.setattr(trainer, "_shared_zeros", shared_zeros)
+    w = init_weights(EncoderConfig(), seed=0)
+    grad_set = w.parameter_count() * 4
+    rng = np.random.default_rng(27)
+    for n in (16, 64):
+        made.clear()
+        feats = rng.standard_normal((n, 40, 98)).astype(np.float32)
+        _, grads = loss_and_grads(feats, rng.integers(0, 35, n), w, survival=1.0)
+        (second,) = made  # the loss rows were popped from it
+        assert {k: (a.shape, a.dtype) for k, a in second.items()} == {
+            k: (g.shape, g.dtype) for k, g in grads.items()
+        }
+        assert sum(a.nbytes for a in second.values()) == grad_set
+        # each array starts on a 64-byte boundary of one mapping
+        rows = -(-n * 4 // 64) * 64
+        mapped = len(second["P0"].base.base)
+        assert mapped == rows + sum(-(-a.nbytes // 64) * 64 for a in second.values())
+        assert mapped < rows + grad_set + 64 * len(second)
+
+
 class TestAdamW:
     def _single(self, wd):
         params = {"w.W": np.array([[1.0]])}
@@ -834,6 +808,18 @@ class TestTrainLoop:
         assert info.value.step == 0
         assert records == []
 
+    def test_rejects_more_steps_than_the_optimizer_counts_before_any_step(self):
+        feats, labels = separable_toy_data()
+        w = self._toy_setup()
+        before = {name: x.copy() for name, x in w.tensors.items()}
+        records: list[StepRecord] = []
+        cfg = TrainConfig(epochs=2**28, batch_size=1, warmup_epochs=0, time_masks=0, freq_masks=0)
+        with pytest.raises(ValueError, match="exceed the optimizer's 4294967295 steps"):
+            train(feats, labels, w, cfg, on_step=records.append)
+        assert records == []
+        for name, x in w.tensors.items():
+            assert x.tobytes() == before[name].tobytes(), name
+
     def test_rejects_empty_dataset(self):
         w = self._toy_setup()
         with pytest.raises(ValueError):
@@ -874,3 +860,107 @@ class TestPredictEvaluate:
     def _weights(self):
         cfg = EncoderConfig(n_mfcc=4, n_frames=6, dim=4, hidden_dim=8, depth=1, n_classes=2)
         return init_weights(cfg, seed=8)
+
+
+class TestSecondProcess:
+    """loss_and_grads and predict run the second half of their micro-batches
+    in one forked child. The child is always reaped, it is killed when the
+    parent's half raises, and a child that exits non-zero, even after it
+    wrote all its results, leaves the result of one process.
+    """
+
+    @pytest.fixture(params=["loss_and_grads", "predict", "cli train"])
+    def call(self, request, tmp_path, capsys):
+        """A call with 4 cached or 2 uncached micro-batches, returning its outputs as bytes."""
+        rng = np.random.default_rng(30)
+        if request.param == "cli train":
+            lines = []
+            for k in range(8):
+                clip = sine_clip(300.0 + 50.0 * k) if k % 2 else noise_clip(rng)
+                (tmp_path / f"{k}.wav").write_bytes(make_wav(clip))
+                lines.append(f"{k}.wav\t{k % 2}")
+            manifest = tmp_path / "train.tsv"
+            manifest.write_text("\n".join(lines) + "\n")
+            out = tmp_path / "m.kwm1"
+            argv = ["train", "--manifest", str(manifest), "--output", str(out), "--depth", "1",
+                    "--epochs", "1", "--batch-size", "8", "--warmup-epochs", "0"]
+
+            def run():
+                code = main(argv)
+                files = [out.with_suffix(s).read_bytes() for s in (".kwm1", ".opt1", ".csv")]
+                return [bytes([code]), capsys.readouterr().out.encode()] + files
+
+            return run
+        w = init_weights(EncoderConfig(depth=2, n_classes=3), seed=1)
+        feats = rng.standard_normal((8, 40, 98)).astype(np.float32)
+        labels = rng.integers(0, 3, 8)
+        if request.param == "predict":
+            return lambda: [predict(feats, w).tobytes()]
+
+        def run():
+            loss, grads = loss_and_grads(
+                feats, labels, w, label_smoothing=0.1, survival=0.9, rng=np.random.default_rng(2)
+            )
+            return [np.float64(loss).tobytes()] + [g.tobytes() for g in grads.values()]
+
+        return run
+
+    @pytest.mark.parametrize("mode", ["returns", "interrupted", "child fails"])
+    def test_no_child_is_left(self, call, mode, monkeypatch):
+        monkeypatch.setattr(trainer, "_spare_cpu", lambda: False)
+        expected = call()
+        monkeypatch.setattr(trainer, "_spare_cpu", lambda: True)
+        parent, forks = os.getpid(), []
+        real_fork, real_encode, real_exit = os.fork, trainer.encode, os._exit
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        def encode(*args, **kwargs):
+            if mode == "interrupted" and forks:
+                if os.getpid() == parent:
+                    raise KeyboardInterrupt
+                time.sleep(60)
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(trainer, "encode", encode)
+        if mode == "child fails":
+            # after the child wrote all its results
+            monkeypatch.setattr(os, "_exit", lambda code: real_exit(1))
+        start = time.monotonic()
+        if mode == "interrupted":
+            with pytest.raises(KeyboardInterrupt):
+                call()
+            assert time.monotonic() - start < 30  # the sleeping child was killed
+        else:
+            assert call() == expected
+        assert forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fn", ["loss_and_grads", "predict"])
+    def test_a_warning_in_the_second_half_is_the_one_process_warning(self, fn, monkeypatch):
+        # only the last example overflows: the child fails, and this process
+        # runs the second half again and warns as one process does
+        w = init_weights(EncoderConfig(depth=1, n_classes=2), seed=3)
+        feats = np.random.default_rng(32).standard_normal((8, 40, 98)).astype(np.float32)
+        feats[-1] = 3e38
+        labels = np.arange(8) % 2
+
+        def outputs(spare_cpu):
+            monkeypatch.setattr(trainer, "_spare_cpu", lambda: spare_cpu)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if fn == "predict":
+                    out = predict(feats, w).tobytes()
+                else:
+                    out = np.float64(loss_and_grads(feats, labels, w)[0]).tobytes()
+            return out, [(c.category, str(c.message)) for c in caught]
+
+        one_process = outputs(False)
+        assert one_process[1]
+        assert outputs(True) == one_process
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -26,7 +26,9 @@ that do not line up, fewer than two classes, a label not below the
 number of examples, a non-finite learning rate, more than 65,536 hidden
 units, more than 4,294,967,295 epochs, a negative seed, a non-finite
 loss, optimizer state or final logits).
-Every command prints a single JSON line with its results.
+Every command prints a single JSON line with its results. main owns the
+overflow policy: overflow is reported by these checks and exit codes,
+so main runs every command with numpy's overflow warnings off.
 """
 
 from __future__ import annotations
@@ -170,12 +172,10 @@ def cmd_embed(args) -> int:
         return _fail(EXIT_USAGE, f"--depth {depth} outside [0, {cfg.depth}] for this model")
     try:
         wav_bytes = Path(args.audio).read_bytes()
-        # finite weights can still overflow in the encoder: the check below reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            embeddings = encode_audio(wav_bytes, weights, args.algorithm, depth)
+        embeddings = encode_audio(wav_bytes, weights, args.algorithm, depth)
     except (OSError, DecodeError) as exc:
         return _fail(EXIT_AUDIO, f"cannot embed {args.audio}: {exc}")
-    if not np.isfinite(embeddings).all():
+    if not all_finite(embeddings):
         return _fail(
             EXIT_WEIGHTS, f"weights {args.weights} give NaN or infinite embeddings of {args.audio}"
         )
@@ -260,10 +260,7 @@ def cmd_train(args) -> int:
             log.write(f"{record.step},{record.epoch},{record.lr:.9g},{record.loss:.9g}\n")
 
         try:
-            # overflow is reported by train's finiteness checks and the state
-            # check below, not as warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = train(features, labels, weights, train_config, on_step=on_step)
+            result = train(features, labels, weights, train_config, on_step=on_step)
         except TrainingDivergedError as exc:
             return _fail(EXIT_USAGE, str(exc))
     try:
@@ -271,8 +268,7 @@ def cmd_train(args) -> int:
         save_optimizer_state(output.with_suffix(".opt1"), result.state)
     except OSError as exc:
         return _fail(EXIT_USAGE, f"cannot write {output}: {exc}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        accuracy = evaluate(features, labels, weights)
+    accuracy = evaluate(features, labels, weights)
     print(
         json.dumps(
             {
@@ -308,9 +304,7 @@ def cmd_probe(args) -> int:
     except ValueError:
         return _fail(EXIT_PROBE, f"labels file {args.labels} must hold one integer per line")
     try:
-        # overflow is reported by train_probe's finiteness checks, not as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            probe = train_probe(embeddings, labels, _config_from_args(ProbeConfig, args))
+        probe = train_probe(embeddings, labels, _config_from_args(ProbeConfig, args))
     except ValueError as exc:
         return _fail(EXIT_PROBE, str(exc))
     accuracy = evaluate_probe(embeddings, labels, probe)
@@ -445,7 +439,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    # finite inputs can overflow in the encoder, the trainer and the probe; the
+    # commands' finiteness checks report it, and a RuntimeWarning would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Everything downstream expects mono 16 kHz audio cut into exact 1 s
 segments. Other rates are resampled with a polyphase Kaiser-windowed sinc
 filter: for a rate ratio reduced to up/down there are only `up` distinct
-kernel phases, so each call tabulates them once, and all outputs of one
+kernel phases, tabulated a block at a time, and all outputs of one
 phase come from a single matrix-vector product of that phase's table row
 with a strided view of the input windows. A segment is
 framed with a 30 ms window and 10 ms hop (no centering), run through a
@@ -26,9 +26,9 @@ SEGMENT_SAMPLES = TARGET_RATE  # one second at the model rate
 # Rates decode_wav accepts. Resampling to TARGET_RATE multiplies the
 # sample count by TARGET_RATE / rate, so a header claiming a few Hz would
 # turn a small file into gigabytes of output. The ceiling is the highest
-# standard rate: a rate that shares no factor with TARGET_RATE makes
-# resample tabulate TARGET_RATE kernel phases of about rate / 1000 taps:
-# 949 MB to embed 1 s of audio that claims 1,000,003 Hz.
+# standard rate: the kernel has about rate / 1000 taps per output sample,
+# and a rate that shares no factor with TARGET_RATE runs TARGET_RATE
+# kernel phases, so the work per second of audio grows with the rate.
 MIN_SAMPLE_RATE = 1000
 MAX_SAMPLE_RATE = 384_000
 
@@ -47,6 +47,8 @@ LOG_FLOOR = 1e-10
 # sample at unit ratio; the kernel widens by 1/cutoff when downsampling.
 _SINC_ZERO_CROSSINGS = 8
 _KAISER_BETA = 8.0
+# Kernel phases resample tabulates at a time, however many the rate ratio has
+_PHASE_BLOCK = 256
 
 # np.add.reduce adds a row shorter than this in sequence from +0.0, a longer
 # one in eight interleaved partial sums. decode_wav adds fewer channels
@@ -191,15 +193,16 @@ def _sinc_kernel(offsets: np.ndarray, cutoff: float, radius: float) -> np.ndarra
 
 
 def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
-    """Resample with a Kaiser-windowed sinc kernel, one polyphase table per call.
+    """Resample with a Kaiser-windowed sinc kernel, tabulated per phase.
 
     Output length is round(len * target / source). With the ratio reduced
     to up/down = target/source, output j = q * up + p sits at input
     position j * down / up: whole part q * down + p * down // up,
     fractional phase (p * down % up) / up. The kernel is tabulated once
-    per phase p (at most one row per output), and for a fixed p the whole
-    parts step by `down`, so all outputs of phase p are one matrix-vector
-    product of a strided view of the input windows with that phase's row.
+    per phase p (at most one row per output), _PHASE_BLOCK phases at a
+    time, and for a fixed p the whole parts step by `down`, so all outputs
+    of phase p are one matrix-vector product of a strided view of the
+    input windows with that phase's row.
     The same product over an in-range indicator (1 on input samples, 0 in
     the zero padding) gives each output's divisor: the sum of the weights
     that land on real input. Constant (DC) signals therefore pass through
@@ -229,13 +232,15 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     padded[1, half : half + n] = 1.0
     windows = np.lib.stride_tricks.sliding_window_view(padded, taps.size, axis=1)
 
-    phases = np.arange(min(up, out_len))
-    table = _sinc_kernel(taps - (phases * down % up / up)[:, None], cutoff, radius)
+    n_phases = min(up, out_len)
     out = np.empty(out_len, dtype=np.float64)
-    for p in phases:
-        count = len(range(p, out_len, up))
-        dots, weights = windows[:, p * down // up :: down][:, :count] @ table[p]
-        out[p::up] = dots / weights
+    for lo in range(0, n_phases, _PHASE_BLOCK):
+        phases = np.arange(lo, min(lo + _PHASE_BLOCK, n_phases))
+        table = _sinc_kernel(taps - (phases * down % up / up)[:, None], cutoff, radius)
+        for p, row in zip(phases, table):
+            count = len(range(p, out_len, up))
+            dots, weights = windows[:, p * down // up :: down][:, :count] @ row
+            out[p::up] = dots / weights
     return AudioBuffer(samples=out, sample_rate=target_rate)
 
 

@@ -154,8 +154,9 @@ class EncoderWeights:
         return sum(t.size for t in self.tensors.values())
 
     def astype(self, dtype) -> "EncoderWeights":
+        """These weights with every tensor in dtype; a tensor that has it is not copied."""
         return EncoderWeights(
-            self.config, {k: v.astype(dtype) for k, v in self.tensors.items()}
+            self.config, {k: v.astype(dtype, copy=False) for k, v in self.tensors.items()}
         )
 
 

@@ -226,7 +226,7 @@ def load_embeddings(path) -> np.ndarray:
     if len(data) != expected:
         raise FormatError(f"embeddings payload is {len(data) - 12} bytes, expected {expected - 12}")
     matrix = np.frombuffer(data, "<f4", rows * cols, 12).reshape(rows, cols).copy()
-    if not np.isfinite(matrix).all():
+    if not all_finite(matrix):
         raise FormatError("embeddings hold NaN or infinite values")
     return matrix
 

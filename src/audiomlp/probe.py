@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import gelu, gelu_with_grad, glorot
+from .encoder import all_finite, gelu, gelu_with_grad, glorot
 from .trainer import MAX_STEPS, adamw_update, class_count, init_adamw_state, smoothed_cross_entropy
 
 # Hidden units at most. W1 is (features, hidden_units) float32: at the
@@ -129,9 +129,9 @@ def train_probe(
             raise ValueError(f"probe loss is not finite at epoch {epoch}")
         adamw_update(probe.tensors, grads, state, config.lr, 0.0)
     # an overflowed moment stalls its weights without making them non-finite
-    if not all(np.isfinite(t).all() for t in state.values()):
+    if not all(all_finite(t) for t in state.values()):
         raise ValueError("probe optimizer state overflowed")
-    if not np.isfinite(probe_logits(embeddings, probe)).all():
+    if not all_finite(probe_logits(embeddings, probe)):
         raise ValueError("probe logits are not finite after the last update")
     return probe
 

@@ -19,12 +19,13 @@ whole batch first, then runs forward, loss and backward on one slice at
 a time, adding each share into a zeroed gradient table as soon as it is
 formed; encoder.finish_grads turns the totals into the step's gradients
 in place. Examples never interact (layer norm works per frame, pooling
-per example), so the loss and the random stream are those of one pass
-over the whole batch, and only the float summation order of the
-gradients differs. Only one slice's cache is alive at a time, so a
-step's memory does not grow with the batch size: the cache of 2
-examples and the gradient table set it. predict runs uncached encode
-calls on the uncached micro-batches of 4.
+per example), so the random stream and each example's arithmetic are
+those of one pass over the whole batch. The bits need not be: at small
+widths OpenBLAS can change the last bit of a product's row with the row
+count, and the gradients' float summation order differs. Only one
+slice's cache is alive at a time, so a step's memory does not grow with
+the batch size: the cache of 2 examples and the gradient table set it.
+predict runs uncached encode calls on the uncached micro-batches of 4.
 
 Both run on two CPUs where they can: the first half of the slices runs
 in the calling process and the second half in one forked child, which
@@ -209,14 +210,11 @@ def smoothed_cross_entropy(
 
 
 def _branch_scales(
-    features: np.ndarray,
-    weights: EncoderWeights,
-    survival: float,
-    rng: np.random.Generator | None,
+    n: int, depth: int, dtype, survival: float, rng: np.random.Generator | None
 ) -> list[np.ndarray] | None:
-    """Per-block (B,) stochastic-depth factors for a batch, keep / survival.
+    """Per-block (n,) stochastic-depth factors for a batch, keep / survival, in dtype.
 
-    Block 0 first, one rng.random(B) per block; this is the only rng
+    Block 0 first, one rng.random(n) per block; this is the only rng
     consumption of a training step. With survival 1 nothing is drawn and
     the result is None.
     """
@@ -224,12 +222,7 @@ def _branch_scales(
         return None
     if rng is None:
         raise ValueError("stochastic depth needs an rng")
-    t = weights.tensors
-    dtype = np.result_type(features, t["P0"], t["P0.bias"])
-    return [
-        ((rng.random(len(features)) < survival) / survival).astype(dtype)
-        for _ in range(weights.config.depth)
-    ]
+    return [((rng.random(n) < survival) / survival).astype(dtype) for _ in range(depth)]
 
 
 def forward_batch(
@@ -358,23 +351,25 @@ def loss_and_grads(
     of the slices adds into this process's table, the second half into a
     shared one (_in_two_processes), which is then added into the first;
     encoder.finish_grads turns the totals into gradients in place: in
-    weights.tensors order and the dtype of features and weights together,
-    zero where no slice reached. dlogits is divided by the whole batch's
-    size.
+    weights.tensors order, zero where no slice reached. dlogits is divided
+    by the whole batch's size. The step runs on the weights cast to its
+    one dtype, that of features and weights together, so it has the bits
+    of the same call on weights.astype(that dtype).
     """
-    cfg, t = weights.config, weights.tensors
-    check_features(features, cfg, batched=True)
+    check_features(features, weights.config, batched=True)
     n = len(features)
     if n == 0:
         raise ValueError("empty batch")
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} examples")
-    scales = _branch_scales(features, weights, survival, rng)
+    dtype = np.result_type(features, *{x.dtype for x in weights.tensors.values()})
+    weights = weights.astype(dtype)
+    cfg, t = weights.config, weights.tensors
+    scales = _branch_scales(n, cfg.depth, dtype, survival, rng)
     parts = micro_batches(n, cached=True)
-    layout = {name: (x.shape, np.result_type(features, x)) for name, x in t.items()}
-    row_dtype = np.result_type(features, *{x.dtype for x in t.values()})
+    layout = {name: (x.shape, dtype) for name, x in t.items()}
     # every slice's loss rows, and the second half's gradient table
-    second_grads = _shared_zeros({"rows": ((n,), row_dtype)} | (layout if len(parts) > 1 else {}))
+    second_grads = _shared_zeros({"rows": ((n,), dtype)} | (layout if len(parts) > 1 else {}))
     rows = second_grads.pop("rows")
     grads: dict[str, np.ndarray] = {}
 
@@ -539,12 +534,14 @@ def predict(features: np.ndarray, weights: EncoderWeights) -> np.ndarray:
     uncached micro-batch at a time, so no backward intermediates are kept.
     The second half of the micro-batches runs in a forked child when one
     can (_in_two_processes); the pooled frames of each micro-batch do not
-    depend on the others, so the bits do not depend on where it ran.
+    depend on the others, so the bits do not depend on where it ran. Like
+    loss_and_grads, it runs on the weights cast to the one dtype of
+    features and weights together.
     """
-    cfg = weights.config
-    t = weights.tensors
-    check_features(features, cfg, batched=True)
-    dtype = np.result_type(features, *{x.dtype for x in t.values()})
+    check_features(features, weights.config, batched=True)
+    dtype = np.result_type(features, *{x.dtype for x in weights.tensors.values()})
+    weights = weights.astype(dtype)
+    cfg, t = weights.config, weights.tensors
     pooled = _shared_zeros({"pooled": ((len(features), cfg.dim), dtype)})["pooled"]
 
     def run(shard: list[slice], second: bool) -> None:

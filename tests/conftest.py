@@ -19,6 +19,19 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process of this one running or unreaped,
+    such as a forked half of a training step that was never waited for.
+    """
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process {'running' if pid == 0 else f'{pid} unreaped'}")
+
+
 def traced_peak_mib(fn, *args, **kwargs):
     """(peak, result): the tracemalloc peak of fn(*args, **kwargs) in MiB,
     counted from the call's start, and what the call returned.

@@ -715,7 +715,6 @@ class TestProbe:
         captured = capsys.readouterr()
         assert captured.out == "" and "largest label 1000000000" in captured.err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "lr, fill", [("nan", None), ("inf", None), ("0.01", 3e38)], ids=["lr-nan", "lr-inf", "3e38"]
     )
@@ -739,7 +738,6 @@ class TestProbe:
         captured = capsys.readouterr()
         assert captured.out == "" and "epochs must lie in [1, 4294967295]" in captured.err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_in_the_last_update_exits_5(self, tmp_path, capsys):
         emb_path = tmp_path / "e.emb1"
         save_embeddings(emb_path, np.random.default_rng(4).standard_normal((6, 8)))

@@ -371,6 +371,14 @@ class TestResample:
         assert len(out.samples) == 60 * 16000
         assert peak * 2**20 < 3 * audio.samples.nbytes, f"peak {peak * 2**20 / 1e6:.1f} MB"
 
+    def test_co_prime_rate_memory_is_bounded(self):
+        # 383,987 Hz shares no factor with 16 kHz: 16,000 kernel phases of 385
+        # taps, a 47 MiB table, tabulated a block at a time (at once: 341 MiB peak)
+        audio = AudioBuffer(np.random.default_rng(6).uniform(-1.0, 1.0, 383_987), 383_987)
+        peak, out = traced_peak_mib(resample, audio, 16000)
+        assert len(out.samples) == 16000
+        assert peak < 24, f"peak {peak:.1f} MiB"
+
 
 class TestPadAndSegment:
     def test_exact_second_untouched(self):

@@ -7,7 +7,8 @@ takes no depth 0), 2 to 5 classes,
 float64 features on float32 or float64 weights, survival 1, 0.5 or 1e-9,
 any label smoothing, and mask counts and widths up to the whole grid.
 The second half of the micro-batches runs in a forked child or in this
-process, and no bit may depend on which; predict's output is that of
+process, and no bit may depend on which, nor on whether the weights
+were cast to the step's dtype beforehand; predict's output is that of
 the one-process forward pass it replaced.
 """
 
@@ -109,15 +110,14 @@ def _check_step(case, data):
     dtype = np.result_type(features, *t.values())
     assert abs(loss - ref_loss) <= (1e-5 if dtype == np.float32 else 1e-12) * abs(ref_loss)
     assert list(grads) == list(t)
-    # the oracle tests' tolerances, float64's only where every input is
-    # float64: on float32 weights the backward pass forms products of two
-    # weights (U * pre_norm.scale) in float32. A tensor whose gradient is
-    # nearly zero is held to a share of the step's largest gradient.
+    # the oracle tests' tolerances, float64's wherever the step's dtype is
+    # float64. A tensor whose gradient is nearly zero is held to a share of
+    # the step's largest gradient.
     top = max(np.abs(r).max() for r in ref.values())
     for name, grad in grads.items():
         assert grad.shape == t[name].shape, name
-        assert grad.dtype == np.result_type(features, t[name]) == ref[name].dtype, name
-        if features.dtype == t[name].dtype == np.float64:
+        assert grad.dtype == dtype == ref[name].dtype, name
+        if dtype == np.float64:
             np.testing.assert_allclose(grad, ref[name], rtol=1e-5, atol=1e-12 * top, err_msg=name)
         else:
             scale = max(np.abs(ref[name]).max(), 0.1 * top)
@@ -126,10 +126,16 @@ def _check_step(case, data):
     # same bits twice, and wherever the second half of the micro-batches ran
     assert _bits(*_step(case, spare_cpu=True)) == _bits(loss, grads, predicted)
     assert _bits(*_step(case, spare_cpu=False)) == _bits(loss, grads, predicted)
+    # one dtype per step: the bits of the same step on the weights cast to it
+    cast = (features, labels, weights.astype(dtype), smoothing, survival, seed)
+    assert _bits(*_step(cast, spare_cpu=True)) == _bits(loss, grads, predicted)
+    assert _bits(*_step(cast, spare_cpu=False)) == _bits(loss, grads, predicted)
     one_pass = encode(features, t, weights.config.depth).mean(axis=1) @ t["head.W"] + t["head.bias"]
     assert predicted.tobytes() == np.argmax(one_pass, axis=1).tobytes()
 
-    scales = _branch_scales(features, weights, survival, np.random.default_rng(seed))
+    scales = _branch_scales(
+        len(features), weights.config.depth, dtype, survival, np.random.default_rng(seed)
+    )
     dropped = [i for i, s in enumerate(scales or []) if not s.any()]
     for i in dropped:
         for name in t:

@@ -266,7 +266,7 @@ class TestForwardBatch:
         w = init_weights(TOY)
         feats = np.ones((2, 4, 6), dtype=np.float32)
         with pytest.raises(ValueError):
-            _branch_scales(feats, w, 0.9, None)
+            _branch_scales(2, TOY.depth, np.float32, 0.9, None)
         with pytest.raises(ValueError):
             loss_and_grads(feats, np.array([0, 1]), w, survival=0.9)
 
@@ -274,7 +274,7 @@ class TestForwardBatch:
         w = init_weights(TOY, seed=3)
         feats = np.random.default_rng(17).standard_normal((3, 4, 6)).astype(np.float32)
         rng = np.random.default_rng(0)
-        assert _branch_scales(feats, w, 1.0, rng) is None
+        assert _branch_scales(3, TOY.depth, np.float32, 1.0, rng) is None
         loss, _ = loss_and_grads(feats, np.array([0, 1, 2]), w, survival=1.0, rng=rng)
         # generator untouched: next draw equals a fresh generator's first draw
         assert rng.random() == np.random.default_rng(0).random()
@@ -287,7 +287,7 @@ class TestForwardBatch:
         t = w.tensors
         feats = np.random.default_rng(18).standard_normal((6, 3, 4))
         survival = 0.7
-        scales = _branch_scales(feats, w, survival, np.random.default_rng(99))
+        scales = _branch_scales(6, 1, np.float64, survival, np.random.default_rng(99))
         logits, _ = forward_batch(feats, w, scales=scales)
         keep = np.random.default_rng(99).random(6) < survival
         assert 0 < keep.sum() < 6  # the seed exercises both branches
@@ -390,7 +390,7 @@ class TestGradients:
         for _ in range(depth):
             fresh.random(n)
         assert g.bit_generator.state == fresh.bit_generator.state
-        scales = _branch_scales(feats, w, 0.9, np.random.default_rng(4))
+        scales = _branch_scales(n, depth, np.float32, 0.9, np.random.default_rng(4))
         logits, _ = forward_batch(feats, w, scales=scales)
         assert loss == smoothed_cross_entropy(logits, labels, 0.1)[0]
 
@@ -420,7 +420,7 @@ class TestGradients:
         w = init_weights(dataclasses.replace(TOY, depth=3), seed=0)
         feats = np.random.default_rng(1).standard_normal((4, 4, 6))
         labels = np.array([0, 1, 2, 0])
-        scales = _branch_scales(feats, w, 0.3, np.random.default_rng(0))
+        scales = _branch_scales(4, 3, np.float64, 0.3, np.random.default_rng(0))
         assert [bool(s.any()) for s in scales] == [True, False, True]
         _, grads = loss_and_grads(feats, labels, w, survival=0.3, rng=np.random.default_rng(0))
         assert list(grads) == list(w.tensors)
@@ -468,7 +468,7 @@ class TestGradients:
         feats = rng.standard_normal((3, 4, 6))
         labels = np.array([2, 0, 1])
         survival, smoothing = 0.5, 0.1
-        scales = _branch_scales(feats, w, survival, FixedDraws())
+        scales = _branch_scales(3, 3, np.float64, survival, FixedDraws())
         _, grads = loss_and_grads(
             feats, labels, w, label_smoothing=smoothing, survival=survival, rng=FixedDraws()
         )
